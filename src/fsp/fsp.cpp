@@ -505,20 +505,35 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
     }
     p[static_cast<std::size_t>(root)] = 1.0;
 
+    // Sink mass never decreases along t on a fixed projection, so a
+    // checkpoint whose sink already exceeds tol dooms the round: it is
+    // abandoned there and the set expanded. Growth reads only the
+    // structural outflow, not p, so the sequence of member sets is the one
+    // a full-grid propagation would produce. A round that no other round
+    // can follow — the last one allowed, a set at max_states, a closed
+    // boundary — always runs the whole grid, so an unconverged result
+    // still carries every marginal.
+    const bool leaking = std::any_of(rs.outflow.begin(), rs.outflow.end(),
+                                     [](real_t f) { return f > 0.0; });
+    const bool may_abandon =
+        round < opt.max_rounds &&
+        static_cast<std::size_t>(n) < opt.max_states && leaking;
+
     marginals.assign(t_grid.size(), {});
     sinks.assign(t_grid.size(), 0.0);
     std::uint64_t matvecs = 0;
     std::size_t reached = 0;  // grid points whose checkpoint was delivered
     bool round_truncated = false;
+    // Records checkpoint i; false when the round is abandoned there.
+    const auto checkpoint = [&](std::size_t i, std::span<const real_t> pi) {
+      marginals[i].assign(pi.begin(), pi.end());
+      sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(pi));
+      reached = i + 1;
+      return !(may_abandon && sinks[i] > opt.tol);
+    };
     if (opt.engine == TransientEngine::kUniformization) {
       const auto r = solver::transient_solve_grid(
-          op, t_grid, std::span<real_t>(p),
-          [&](std::size_t i, std::span<const real_t> pi) {
-            marginals[i].assign(pi.begin(), pi.end());
-            sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(pi));
-            reached = i + 1;
-          },
-          uopt);
+          op, t_grid, std::span<real_t>(p), checkpoint, uopt);
       matvecs = r.matvecs;
       round_truncated = r.truncated_early;
     } else {
@@ -536,9 +551,7 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
           round_truncated = true;
           break;
         }
-        marginals[i].assign(p.begin(), p.end());
-        sinks[i] = std::max<real_t>(0.0, 1.0 - solver::norm_l1(p));
-        reached = i + 1;
+        if (!checkpoint(i, p)) break;
       }
     }
     total_matvecs += matvecs;
@@ -555,7 +568,7 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
       }
       bound = std::numeric_limits<real_t>::infinity();
       truncated = true;
-      rounds.push_back(TransientFspRound{round, n, bound, matvecs});
+      rounds.push_back(TransientFspRound{round, n, bound, matvecs, reached});
       obs::flight("fsp.transient.sink_mass", obs::FlightKind::kFspRound,
                   static_cast<std::uint64_t>(round), bound);
       obs::flight("fsp.transient.states", obs::FlightKind::kFspStates,
@@ -563,9 +576,11 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
       break;
     }
 
-    bound = sinks.back();
+    // An abandoned round's bound is the sink where it stopped: a lower
+    // bound on its final-time sink, already above tol.
+    bound = sinks[reached - 1];
 
-    rounds.push_back(TransientFspRound{round, n, bound, matvecs});
+    rounds.push_back(TransientFspRound{round, n, bound, matvecs, reached});
     obs::flight("fsp.transient.sink_mass", obs::FlightKind::kFspRound,
                 static_cast<std::uint64_t>(round), bound);
     obs::flight("fsp.transient.states", obs::FlightKind::kFspStates,
@@ -574,10 +589,14 @@ TransientFspResult solve_transient(const core::ReactionNetwork& network,
       converged = true;
       break;
     }
+    // No round follows the last one: keep the set its marginals live on.
+    if (round == opt.max_rounds) break;
 
     // Expand every leaking boundary state's out-of-set successors, then
     // further reachability layers up to the growth floor, and restart the
-    // propagation from t = 0 on the larger projection.
+    // propagation from t = 0 on the larger projection. An abandoned round
+    // always gets here with room to grow (may_abandon), so the loop never
+    // ends on a partial grid.
     std::vector<core::State> additions;
     for (index_t j = 0; j < n; ++j) {
       if (rs.outflow[static_cast<std::size_t>(j)] > 0.0) {

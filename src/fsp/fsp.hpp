@@ -146,6 +146,15 @@ struct FspResult {
 // truncation error of every marginal at every earlier time. When the bound
 // exceeds tol the member set is expanded and the propagation restarts from
 // t = 0 on the larger projection.
+//
+// The sink mass never decreases along t on a fixed projection, so a round
+// is abandoned at the first checkpoint whose sink already exceeds tol — its
+// final-time bound cannot meet tol — and the set is expanded right there.
+// Expansion depends only on which members leak, not on P(t), so the rounds
+// see the same member sets as full-grid propagation would, and the final
+// round's result is unchanged. A round that no further round can follow
+// (the max_rounds-th, a set at max_states, a set with no outflow) is never
+// abandoned: an unconverged result still carries full-grid marginals.
 
 /// Propagation engine of the transient FSP loop.
 enum class TransientEngine { kUniformization, kKrylov };
@@ -170,8 +179,15 @@ struct TransientFspOptions {
 struct TransientFspRound {
   int round = 0;        ///< 1-based
   index_t states = 0;   ///< members propagated this round
-  real_t sink_mass = 0.0;  ///< 1 - ||P(t_final)||_1 on this round's set
+  /// 1 - ||P(t)||_1 on this round's set at the last grid point it reached:
+  /// t_final for a full round, the stopping checkpoint (a lower bound on the
+  /// final-time sink, already above tol) for an abandoned one, and infinity
+  /// for a round the engine budget cut.
+  real_t sink_mass = 0.0;
   std::uint64_t matvecs = 0;
+  /// Grid points propagated (checkpoints delivered): the grid size for a
+  /// full round, fewer for an abandoned or budget-cut one.
+  std::size_t reached = 0;
 };
 
 struct TransientFspResult {

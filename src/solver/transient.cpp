@@ -37,20 +37,6 @@ void validate(const TransientOptions& opt) {
   }
 }
 
-/// y += c .* x through the kernel table — same deterministic elementwise
-/// contract as axpy in vector_ops.hpp.
-void cmul_add(std::span<real_t> y, std::span<const real_t> c,
-              std::span<const real_t> x) {
-  real_t* py = y.data();
-  const real_t* pc = c.data();
-  const real_t* px = x.data();
-  const util::simdk::KernelOps& ko = util::simdk::kernels();
-  util::parallel_for(y.size(),
-                     [py, pc, px, &ko](std::size_t b, std::size_t e) {
-                       ko.cmul_add(py + b, pc + b, px + b, e - b);
-                     });
-}
-
 struct Workspace {
   std::vector<real_t> v;    ///< B^k P(0)
   std::vector<real_t> bv;   ///< off-diagonal product scratch
@@ -82,6 +68,7 @@ bool uniformize_step(const TransientOperator& op, real_t dt, real_t eps_step,
   real_t cum = 0.0;        // total weight seen (window + trimmed head)
   real_t covered = 0.0;    // window weight actually accumulated
   real_t head = 0.0;       // left-trimmed weight
+  const real_t inv_lambda = 1.0 / out.lambda;
   bool accumulating = false;
   bool seen_weight = false;
   std::uint64_t k = 0;
@@ -89,6 +76,10 @@ bool uniformize_step(const TransientOperator& op, real_t dt, real_t eps_step,
   for (;; ++k) {
     const real_t w = std::exp(log_w);
     if (w > 0.0) seen_weight = true;
+    // Term k adds w * B^k P(0) to the accumulator; the add is fused into
+    // the pass that advances v below, or done on its own when the series
+    // stops at this term.
+    bool add = false;
     if (!accumulating && cum + w <= eps_left &&
         static_cast<real_t>(k) < m) {
       // Still safely inside the left tail: the term's weight is dropped
@@ -101,28 +92,32 @@ bool uniformize_step(const TransientOperator& op, real_t dt, real_t eps_step,
       if (w > 0.0) {
         covered += w;
         cum += w;
-        axpy(w, v, acc);
+        add = true;
       }
     }
-    if (cum >= 1.0 - eps_right) break;
+    bool stop = cum >= 1.0 - eps_right;
     // Tail exhaustion: past the Poisson mode the weights decay
     // monotonically, so once one underflows every later one does too and
     // the series is numerically complete. Checked independently of the
     // mass test — for eps below the ~1e-12 accumulation floor the mass
     // test can never fire.
-    if (w == 0.0 && seen_weight && static_cast<real_t>(k) > m) {
+    if (!stop && w == 0.0 && seen_weight && static_cast<real_t>(k) > m) {
       out.tail_exhausted = true;
-      break;
+      stop = true;
     }
-    if (out.matvecs >= opt.max_terms) {
+    if (!stop && out.matvecs >= opt.max_terms) {
       out.truncated_early = true;
       budget_ok = false;
+      stop = true;
+    }
+    if (stop) {
+      if (add) axpy(w, v, acc);
       break;
     }
     // v <- B v = v + (offdiag*v + diag.*v) / lambda
     op.multiply(v, bv);
-    cmul_add(bv, op.diag, v);
-    axpy(1.0 / out.lambda, bv, v);
+    uniformize_term(v, add ? acc : std::span<real_t>{}, bv, op.diag,
+                    inv_lambda, w);
     ++out.matvecs;
     log_w += std::log(m / static_cast<real_t>(k + 1));
   }
@@ -202,6 +197,23 @@ void finish(const TransientResult& out) {
 
 }  // namespace
 
+void uniformize_term(std::span<real_t> v, std::span<real_t> acc,
+                     std::span<const real_t> bv, std::span<const real_t> d,
+                     real_t inv_lambda, real_t w) {
+  real_t* pv = v.data();
+  real_t* pa = acc.empty() ? nullptr : acc.data();
+  const real_t* pb = bv.data();
+  const real_t* pd = d.data();
+  const util::simdk::KernelOps& ko = util::simdk::kernels();
+  util::parallel_for(
+      v.size(),
+      [=, &ko](std::size_t b, std::size_t e) {
+        ko.uniformize_term(pv + b, pa ? pa + b : nullptr, pb + b, pd + b,
+                           inv_lambda, w, e - b);
+      },
+      kUniformizeGrain);
+}
+
 TransientResult transient_solve(const TransientOperator& op, real_t t,
                                 std::span<real_t> p,
                                 const TransientOptions& opt) {
@@ -216,12 +228,11 @@ TransientResult transient_solve(const TransientOperator& op, real_t t,
   return out;
 }
 
-TransientResult transient_solve_grid(
-    const TransientOperator& op, std::span<const real_t> t_grid,
-    std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt) {
+TransientResult transient_solve_grid(const TransientOperator& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt) {
   CMESOLVE_TRACE_SPAN("solver.transient_grid");
   real_t prev = 0.0;
   for (const real_t t : t_grid) {
@@ -241,7 +252,7 @@ TransientResult transient_solve_grid(
     // landed before the Poisson bulk): it is NOT P(t_grid[i]), so the
     // checkpoint is withheld rather than delivered with stale content.
     if (out.truncated_early) break;
-    if (on_checkpoint) on_checkpoint(i, p);
+    if (!on_checkpoint(i, p)) break;
   }
   finish(out);
   return out;

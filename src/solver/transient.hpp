@@ -28,12 +28,16 @@
 // Every vector update runs through the deterministic kernel-table / chunked
 // reduction primitives (vector_ops.hpp), so a transient solve is bitwise
 // identical at any CMESOLVE_THREADS and on every compiled ISA, matching the
-// Jacobi contract. Each term costs one SpMV, so the kernel profile is
-// identical to a Jacobi sweep and runs on the same operators.
+// Jacobi contract. Each term costs one SpMV plus one fused pass
+// (uniformize_term) that accumulates the term and advances v, so the kernel
+// profile is close to a Jacobi sweep and runs on the same operators.
 //
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "solver/jacobi.hpp"
@@ -118,6 +122,54 @@ template <JacobiOperator Op>
 template <JacobiOperator Op>
 TransientOperator transient_operator(const Op&& op) = delete;
 
+/// Rows per parallel_for chunk of uniformize_term. One series term is a
+/// single streaming pass of a few flops per row, and a hand-off to the
+/// thread pool costs several microseconds. Measured on a 4-vCPU x86-64 host
+/// (AVX-512 table): a pooled pass over 10k rows took 14 us against 7 us
+/// inline, over 64k rows 79 us against 64 us. Vectors up to this many rows
+/// (512 KiB each) therefore run inline on the calling thread.
+inline constexpr std::size_t kUniformizeGrain = std::size_t{1} << 16;
+
+/// One uniformization series term after the off-diagonal product
+/// bv = offdiag * v (KernelOps::uniformize_term through the kernel table):
+/// acc += w * v when `acc` is non-empty, then v <- v + inv_lambda *
+/// (bv + d .* v). One pass over the vectors, bitwise equal to the
+/// three-pass cmul_add / axpy / axpy sequence at every ISA and thread count.
+void uniformize_term(std::span<real_t> v, std::span<real_t> acc,
+                     std::span<const real_t> bv, std::span<const real_t> d,
+                     real_t inv_lambda, real_t w);
+
+/// Checkpoint callback of transient_solve_grid, called as f(index, p) at
+/// every grid point. An observer returns void; a callable returning bool
+/// stops the walk by returning false — the remaining grid segments are
+/// then not propagated.
+class CheckpointFn {
+ public:
+  CheckpointFn() = default;
+  template <class F>
+    requires(!std::same_as<std::remove_cvref_t<F>, CheckpointFn> &&
+             std::invocable<F&, std::size_t, std::span<const real_t>>)
+  CheckpointFn(F f) {  // implicit: call sites pass lambdas
+    if constexpr (std::is_void_v<std::invoke_result_t<
+                      F&, std::size_t, std::span<const real_t>>>) {
+      fn_ = [f = std::move(f)](std::size_t i,
+                               std::span<const real_t> p) mutable {
+        f(i, p);
+        return true;
+      };
+    } else {
+      fn_ = std::move(f);
+    }
+  }
+  /// False stops the walk.
+  bool operator()(std::size_t i, std::span<const real_t> p) const {
+    return !fn_ || fn_(i, p);
+  }
+
+ private:
+  std::function<bool(std::size_t, std::span<const real_t>)> fn_;
+};
+
 /// Advance `p` in place from P(0) to P(t).
 TransientResult transient_solve(const TransientOperator& op, real_t t,
                                 std::span<real_t> p,
@@ -125,17 +177,18 @@ TransientResult transient_solve(const TransientOperator& op, real_t t,
 
 /// Advance `p` through an ascending grid of absolute times (first entry may
 /// be 0 == "now"), invoking `on_checkpoint(index, p)` at every grid point.
-/// The eps budget applies per grid segment. When the series budget runs out
-/// (truncated_early) the walk stops and no further checkpoints fire —
-/// including the one whose segment was cut, since `p` is then a mid-series
-/// partial sum, not P(t). Returns the aggregate over all segments
+/// The eps budget applies per grid segment; max_terms is a budget for the
+/// whole walk. When the series budget runs out (truncated_early) the walk
+/// stops and no further checkpoints fire — including the one whose segment
+/// was cut, since `p` is then a mid-series partial sum, not P(t). A
+/// checkpoint returning false stops the walk after that grid point, with
+/// `p` holding its P(t). Returns the aggregate over the segments walked
 /// (covered_mass multiplies, truncated_mass/matvecs accumulate).
-TransientResult transient_solve_grid(
-    const TransientOperator& op, std::span<const real_t> t_grid,
-    std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt = {});
+TransientResult transient_solve_grid(const TransientOperator& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt = {});
 
 template <JacobiOperator Op>
 TransientResult transient_solve(const Op& op, real_t t, std::span<real_t> p,
@@ -144,11 +197,11 @@ TransientResult transient_solve(const Op& op, real_t t, std::span<real_t> p,
 }
 
 template <JacobiOperator Op>
-TransientResult transient_solve_grid(
-    const Op& op, std::span<const real_t> t_grid, std::span<real_t> p,
-    const std::function<void(std::size_t, std::span<const real_t>)>&
-        on_checkpoint,
-    const TransientOptions& opt = {}) {
+TransientResult transient_solve_grid(const Op& op,
+                                     std::span<const real_t> t_grid,
+                                     std::span<real_t> p,
+                                     const CheckpointFn& on_checkpoint,
+                                     const TransientOptions& opt = {}) {
   return transient_solve_grid(transient_operator(op), t_grid, p,
                               on_checkpoint, opt);
 }

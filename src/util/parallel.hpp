@@ -26,9 +26,14 @@
 
 // Portability shim for the OpenMP SpMV loops in src/sparse/: expands to the
 // pragma only when compiled with -fopenmp, so CMESOLVE_OPENMP=OFF builds are
-// silent under -Wunknown-pragmas and the plain loop stays vectorizable.
+// silent under -Wunknown-pragmas and the plain loop stays vectorizable. The
+// if clause honours InlineRegion and pool tasks (in_parallel_region()): the
+// loop then runs on the calling thread instead of forking an OpenMP team, so
+// e.g. each serve worker stays one thread whatever OMP_NUM_THREADS says.
+// Rows are independent, so the result is the same either way.
 #if defined(_OPENMP)
-#define CMESOLVE_OMP_PARALLEL_FOR _Pragma("omp parallel for schedule(static)")
+#define CMESOLVE_OMP_PARALLEL_FOR                                 \
+  _Pragma("omp parallel for schedule(static) if (!::cmesolve::util::in_parallel_region())")
 #else
 #define CMESOLVE_OMP_PARALLEL_FOR
 #endif

@@ -55,6 +55,14 @@ struct KernelOps {
   /// the parenthesisation matches the scalar source exactly)
   void (*scaled_cmul_add)(real_t* y, const real_t* c, const real_t* x,
                           real_t s1, real_t s2, std::size_t n);
+  /// One uniformization series term over bv = offdiag * v, fused into a
+  /// single pass: acc[i] += w * v[i] (skipped when acc is null), then
+  /// v[i] = v[i] + inv * (bv[i] + d[i] * v[i]), i.e. v <- (I + A/lambda) v
+  /// with inv = 1/lambda. Per element it runs the operation chain of the
+  /// cmul_add(bv, d, v), axpy(v += inv * bv), axpy(acc += w * v) sequence.
+  void (*uniformize_term)(real_t* v, real_t* acc, const real_t* bv,
+                          const real_t* d, real_t inv, real_t w,
+                          std::size_t n);
   /// x[i] *= a
   void (*scale)(real_t* x, real_t a, std::size_t n);
   /// Fused Jacobi scale+swap: v = -nx[i]/d[i]; nx[i] = x[i]; x[i] = v.

@@ -110,6 +110,41 @@ void scaled_cmul_add(real_t* y, const real_t* c, const real_t* x, real_t s1,
   }
 }
 
+template <bool kAcc>
+void uniformize_term_body(real_t* v, real_t* acc, const real_t* bv,
+                          const real_t* d, real_t inv, real_t w,
+                          std::size_t n) {
+  std::size_t i = 0;
+  if constexpr (kW > 1) {
+    const V vinv = V::broadcast(inv);
+    const V vw = V::broadcast(w);
+    for (; i + kW <= n; i += kW) {
+      const V vv = V::load(v + i);
+      if constexpr (kAcc) (V::load(acc + i) + vw * vv).store(acc + i);
+      (vv + vinv * (V::load(bv + i) + V::load(d + i) * vv)).store(v + i);
+    }
+  }
+  for (; i < n; ++i) {
+    const real_t x = v[i];
+    if constexpr (kAcc) {
+      const real_t t = w * x;
+      acc[i] += t;
+    }
+    const real_t b = bv[i] + d[i] * x;
+    const real_t u = inv * b;
+    v[i] = x + u;
+  }
+}
+
+void uniformize_term(real_t* v, real_t* acc, const real_t* bv,
+                     const real_t* d, real_t inv, real_t w, std::size_t n) {
+  if (acc != nullptr) {
+    uniformize_term_body<true>(v, acc, bv, d, inv, w, n);
+  } else {
+    uniformize_term_body<false>(v, acc, bv, d, inv, w, n);
+  }
+}
+
 void scale(real_t* x, real_t a, std::size_t n) {
   std::size_t i = 0;
   if constexpr (kW > 1) {
@@ -595,6 +630,7 @@ const KernelOps kOps = {
     &axpy,
     &cmul_add,
     &scaled_cmul_add,
+    &uniformize_term,
     &scale,
     &scale_swap,
     &scale_swap_damped,

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "core/models.hpp"
+#include "core/rate_matrix.hpp"
+#include "core/state_space.hpp"
 #include "serve/cache.hpp"
 #include "serve/controller.hpp"
 #include "serve/workload.hpp"
@@ -302,6 +307,91 @@ TEST(Serve, AbsorbingScenarioFailsWithTheSolverDiagnostic) {
   SolveResponse r = ctl.submit(verify::Scenario(sc)).get();
   EXPECT_EQ(r.status, Status::kFailed);
   EXPECT_NE(r.error.find("zero diagonal"), std::string::npos);
+}
+
+#if defined(_OPENMP)
+/// Threads of this process (entries of /proc/self/task).
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Death-test body, run in a fresh process with OMP_NUM_THREADS=4. libgomp
+/// keeps a team's threads alive per forking thread, so a loop that forked a
+/// team shows up as new entries in /proc/self/task. Exits 0 when the CSR
+/// miss stayed on the worker and matched the team-parallel reference.
+[[noreturn]] void csr_miss_with_four_omp_threads(const verify::Scenario& sc) {
+  util::set_max_threads(1);  // keep the thread pool out of the count
+  // Reference: the miss pipeline of Controller::process on this thread,
+  // outside any InlineRegion, where the CSR loops fork a 4-thread team.
+  const std::size_t before_reference = process_threads();
+  const core::ReactionNetwork net = verify::build_network(sc);
+  const core::StateSpace space(net, sc.initial, sc.max_states);
+  const sparse::Csr a = core::rate_matrix(space);
+  const solver::CsrOperator op(a);
+  std::vector<real_t> reference(static_cast<std::size_t>(a.nrows));
+  solver::fill_uniform(reference);
+  solver::JacobiOptions jopt;
+  jopt.eps = sc.jacobi_eps;
+  jopt.stagnation_eps = sc.jacobi_stagnation_eps;
+  jopt.max_iterations = sc.jacobi_max_iterations;
+  jopt.damping = sc.jacobi_damping;
+  (void)solver::jacobi_solve(op, a.inf_norm(), reference, jopt);
+  if (process_threads() <= before_reference) {
+    std::fprintf(stderr, "no OpenMP team outside InlineRegion\n");
+    std::_Exit(3);
+  }
+
+  ServeOptions opt;
+  opt.workers = 1;
+  opt.warm_start = false;
+  Controller ctl(opt);
+  const std::size_t before_miss = process_threads();
+  const SolveResponse r = ctl.submit(sc).get();
+  const std::size_t after_miss = process_threads();
+  if (r.status != Status::kOk || r.cache_hit) {
+    std::fprintf(stderr, "miss failed: %s\n", r.error.c_str());
+    std::_Exit(4);
+  }
+  if (after_miss != before_miss) {
+    std::fprintf(stderr, "serve worker forked %zu threads\n",
+                 after_miss - before_miss);
+    std::_Exit(1);
+  }
+  if (!bitwise_equal(r.p, reference)) {
+    std::fprintf(stderr, "response differs from the reference\n");
+    std::_Exit(2);
+  }
+  std::_Exit(0);
+}
+#endif
+
+TEST(ServeRegression, CsrMissUnderInlineRegionForksNoOpenMpTeam) {
+  // The OpenMP CSR loops honour util::InlineRegion: a serve worker runs its
+  // miss on its own thread even with OMP_NUM_THREADS=4, instead of forking
+  // a team per worker, and answers bit for bit what a team-parallel solve
+  // computes. Runs in a re-executed child so the environment takes effect.
+#if !defined(_OPENMP)
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const char* outer_env = ::getenv("OMP_NUM_THREADS");
+  const std::string outer = outer_env ? outer_env : "";
+  ::setenv("OMP_NUM_THREADS", "4", 1);
+  const std::string outer_style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(csr_miss_with_four_omp_threads(birth_death(3.0, 1.25)),
+              ::testing::ExitedWithCode(0), "");
+  ::testing::FLAGS_gtest_death_test_style = outer_style;
+  if (outer_env != nullptr) {
+    ::setenv("OMP_NUM_THREADS", outer.c_str(), 1);
+  } else {
+    ::unsetenv("OMP_NUM_THREADS");
+  }
+#endif
 }
 
 // ---------------------------------------------------------------------------

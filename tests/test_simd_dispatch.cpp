@@ -274,6 +274,56 @@ TEST(SimdDispatchParity, TransientEnginesMatchScalarAtEveryIsaAndThreadCount) {
   }
 }
 
+// The fused uniformization term (KernelOps::uniformize_term) replaced a
+// three-pass sequence — bv += d .* v, v += (1/lambda) * bv, acc += w * v
+// (the accumulate reads v before the update) — and must produce its bits.
+TEST(SimdDispatchParity, FusedUniformizationTermMatchesThreePassSequence) {
+  // Odd length past two grains: parallel_for chunks it at threads > 1, and
+  // every ISA runs both its vector body and its scalar tail.
+  const std::size_t n = 2 * solver::kUniformizeGrain + 13;
+  std::vector<real_t> v0(n);
+  std::vector<real_t> bv(n);
+  std::vector<real_t> d(n);
+  std::vector<real_t> acc0(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v0[i] = 1.0 / static_cast<real_t>(3 + (i % 17));
+    bv[i] = 0.25 / static_cast<real_t>(1 + (i % 11));
+    d[i] = -(1.0 + 0.375 * static_cast<real_t>(i % 7));
+    acc0[i] = 1.0 / static_cast<real_t>(5 + (i % 13));
+  }
+  const real_t inv_lambda = 1.0 / 7.3;
+  const real_t w = 0.1234567;
+
+  // Reference: the three passes on the scalar table, serially.
+  const util::simdk::KernelOps& ref_ops =
+      util::simdk::kernels_for(simd::Isa::kScalar);
+  std::vector<real_t> v_ref = v0;
+  std::vector<real_t> acc_ref = acc0;
+  std::vector<real_t> b = bv;
+  ref_ops.axpy(acc_ref.data(), v_ref.data(), w, n);
+  ref_ops.cmul_add(b.data(), d.data(), v_ref.data(), n);
+  ref_ops.axpy(v_ref.data(), b.data(), inv_lambda, n);
+
+  for (const simd::Isa isa : simd::compiled_isas()) {
+    for (const int threads : {1, 2, 8}) {
+      ThreadBudget budget(threads);
+      ForcedIsa forced(isa);
+      if (!forced.ok()) continue;
+      const std::string ctx = std::string("isa=") + simd::to_string(isa) +
+                              " threads=" + std::to_string(threads);
+      std::vector<real_t> v = v0;
+      std::vector<real_t> acc = acc0;
+      solver::uniformize_term(v, acc, bv, d, inv_lambda, w);
+      EXPECT_TRUE(bitwise_equal(v, v_ref)) << ctx;
+      EXPECT_TRUE(bitwise_equal(acc, acc_ref)) << ctx;
+      // Left-skipped terms: the variant without an accumulator.
+      v = v0;
+      solver::uniformize_term(v, {}, bv, d, inv_lambda, w);
+      EXPECT_TRUE(bitwise_equal(v, v_ref)) << ctx << " (no acc)";
+    }
+  }
+}
+
 TEST(SimdDispatchParity, BatchedLanesMatchScalarAtEveryIsa) {
   // Batched operator over one scenario network with K=5 perturbed rate
   // sets: an odd width exercises the vector body AND the scalar lane tail

@@ -3,9 +3,11 @@
 // propagator, plus their FSP front end and flight-recorder wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/models.hpp"
@@ -18,6 +20,7 @@
 #include "solver/operators.hpp"
 #include "solver/transient.hpp"
 #include "solver/vector_ops.hpp"
+#include "util/parallel.hpp"
 #include "verify/scenario.hpp"
 
 namespace cmesolve::solver {
@@ -692,6 +695,164 @@ TEST(FspTransient, TruncatedKrylovReportsNoBound) {
   EXPECT_TRUE(std::isinf(res.error_bound));
   EXPECT_TRUE(res.marginals.back().empty());
   EXPECT_TRUE(std::isinf(res.sink_mass.back()));
+}
+
+// --- abandoned rounds --------------------------------------------------------
+//
+// A round is abandoned at the first checkpoint whose sink mass exceeds tol.
+// Sink mass is monotone in t, so that never skips a round that would have
+// converged: the k-th round of a max_rounds = k run (never abandoned — no
+// round can follow it) must end above tol for every k below the converged
+// round count, and the converged round must be exactly what a full-grid
+// propagation on its member set computes.
+
+struct AbandonCase {
+  std::string name;
+  core::ReactionNetwork net;
+  core::State initial;
+  std::vector<real_t> grid;
+  fsp::TransientFspOptions opt;
+};
+
+std::vector<AbandonCase> abandon_cases() {
+  std::vector<AbandonCase> cases;
+  for (const auto engine : {fsp::TransientEngine::kUniformization,
+                            fsp::TransientEngine::kKrylov}) {
+    const bool krylov = engine == fsp::TransientEngine::kKrylov;
+    fsp::TransientFspOptions opt;
+    opt.tol = 1e-8;
+    opt.engine = engine;
+    opt.krylov.tol = 1e-13;
+
+    AbandonCase id{std::string("immigration-death/") +
+                       (krylov ? "krylov" : "uniformization"),
+                   ImmigrationDeath().net, core::State{0},
+                   {0.5, 1.0, 2.0, 4.0}, opt};
+    id.opt.seed_states = 4;
+    cases.push_back(std::move(id));
+
+    core::models::ToggleSwitchParams tp;
+    tp.cap_a = tp.cap_b = 12;
+    tp.synth = 8.0;
+    AbandonCase toggle{std::string("toggle/") +
+                           (krylov ? "krylov" : "uniformization"),
+                       core::models::toggle_switch(tp),
+                       core::models::toggle_switch_initial(tp),
+                       {0.5, 1.0, 2.0, 3.0},
+                       opt};
+    toggle.opt.seed_states = 16;
+    cases.push_back(std::move(toggle));
+  }
+  return cases;
+}
+
+/// The engine's full-grid propagation from the initial point mass on the
+/// absorbing assembly of `space`, outside the FSP loop.
+struct Replay {
+  std::vector<std::vector<real_t>> marginals;
+  std::vector<real_t> sinks;
+  std::uint64_t matvecs = 0;
+};
+
+Replay replay_final_round(const AbandonCase& c,
+                          const core::DynamicStateSpace& space) {
+  core::ProjectedRateMatrix matrix(c.net);
+  matrix.extend(space);
+  const auto as = matrix.assemble_absorbing(space);
+  const CsrOperator op(as.a);
+  std::vector<real_t> p(static_cast<std::size_t>(space.size()), 0.0);
+  p[static_cast<std::size_t>(space.find(c.initial))] = 1.0;
+  Replay out;
+  const auto record = [&](std::span<const real_t> pi) {
+    out.marginals.emplace_back(pi.begin(), pi.end());
+    out.sinks.push_back(std::max<real_t>(0.0, 1.0 - norm_l1(pi)));
+  };
+  if (c.opt.engine == fsp::TransientEngine::kUniformization) {
+    TransientOptions u = c.opt.uniformization;
+    u.renormalize = false;
+    out.matvecs = transient_solve_grid(
+                      op, c.grid, p,
+                      [&](std::size_t, std::span<const real_t> pi) {
+                        record(pi);
+                      },
+                      u)
+                      .matvecs;
+  } else {
+    KrylovExpmOptions k = c.opt.krylov;
+    k.renormalize = false;
+    real_t from = 0.0;
+    for (const real_t t : c.grid) {
+      out.matvecs += krylov_expm_solve(op, t - from, p, k).matvecs;
+      from = t;
+      record(p);
+    }
+  }
+  return out;
+}
+
+TEST(FspTransientAbandon, ConvergedRoundMatchesFullGridReplayBitwise) {
+  // Dozens of solves on a few hundred states: run them on this thread
+  // (OpenMP loops included). Results do not depend on the thread count.
+  const util::InlineRegion serial;
+  for (const AbandonCase& c : abandon_cases()) {
+    const auto res = fsp::solve_transient(c.net, c.initial, c.grid, c.opt);
+    ASSERT_TRUE(res.converged) << c.name;
+    ASSERT_GE(res.rounds.size(), 3u) << c.name << ": too few rounds";
+    // The test only means something if some round was abandoned early.
+    std::size_t abandoned = 0;
+    for (std::size_t r = 0; r + 1 < res.rounds.size(); ++r) {
+      EXPECT_GT(res.rounds[r].sink_mass, c.opt.tol) << c.name;
+      if (res.rounds[r].reached < c.grid.size()) ++abandoned;
+    }
+    EXPECT_GT(abandoned, 0u) << c.name;
+    EXPECT_EQ(res.rounds.back().reached, c.grid.size()) << c.name;
+
+    const Replay rp = replay_final_round(c, res.space);
+    EXPECT_EQ(rp.matvecs, res.rounds.back().matvecs) << c.name;
+    ASSERT_EQ(rp.marginals.size(), c.grid.size()) << c.name;
+    for (std::size_t i = 0; i < c.grid.size(); ++i) {
+      ASSERT_EQ(rp.marginals[i].size(), res.marginals[i].size()) << c.name;
+      EXPECT_EQ(std::memcmp(rp.marginals[i].data(), res.marginals[i].data(),
+                            rp.marginals[i].size() * sizeof(real_t)),
+                0)
+          << c.name << " grid point " << i;
+      EXPECT_EQ(rp.sinks[i], res.sink_mass[i]) << c.name << " grid point " << i;
+    }
+    EXPECT_EQ(rp.sinks.back(), res.error_bound) << c.name;
+  }
+}
+
+TEST(FspTransientAbandon, EveryEarlierRoundEndsAboveTolOnTheFullGrid) {
+  const util::InlineRegion serial;
+  for (const AbandonCase& c : abandon_cases()) {
+    const auto full = fsp::solve_transient(c.net, c.initial, c.grid, c.opt);
+    ASSERT_TRUE(full.converged) << c.name;
+    const int rounds = static_cast<int>(full.rounds.size());
+    for (int k = 1; k < rounds; ++k) {
+      fsp::TransientFspOptions opt = c.opt;
+      opt.max_rounds = k;
+      const auto res = fsp::solve_transient(c.net, c.initial, c.grid, opt);
+      const std::string ctx = c.name + " max_rounds=" + std::to_string(k);
+      ASSERT_EQ(res.rounds.size(), static_cast<std::size_t>(k)) << ctx;
+      EXPECT_FALSE(res.converged) << ctx;
+      EXPECT_FALSE(res.truncated_early) << ctx;
+      // The k-th round could not be followed by another, so it ran the
+      // whole grid; its final-time sink is the bound it failed.
+      EXPECT_EQ(res.rounds.back().reached, c.grid.size()) << ctx;
+      for (const auto& m : res.marginals) {
+        EXPECT_EQ(m.size(), static_cast<std::size_t>(res.space.size()))
+            << ctx;
+      }
+      EXPECT_GT(res.sink_mass.back(), c.opt.tol) << ctx;
+      EXPECT_EQ(res.error_bound, res.sink_mass.back()) << ctx;
+      // Abandoning never changes which sets the rounds propagate on.
+      for (int r = 0; r < k; ++r) {
+        EXPECT_EQ(res.rounds[static_cast<std::size_t>(r)].states,
+                  full.rounds[static_cast<std::size_t>(r)].states)
+            << ctx << " round " << r + 1;
+      }
+    }
+  }
 }
 
 TEST(FspTransient, RejectsBadGridAndRoundBudget) {
