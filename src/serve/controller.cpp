@@ -1,8 +1,13 @@
 #include "serve/controller.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "core/rate_matrix.hpp"
@@ -33,26 +38,31 @@ std::future<SolveResponse> ready_response(SolveResponse r) {
 
 ServeOptions serve_options_from_env() {
   ServeOptions opt;
-  const auto env_size = [](const char* name, std::size_t fallback) {
-    if (const char* v = std::getenv(name)) {
-      const long n = std::atol(v);
-      if (n >= 0) return static_cast<std::size_t>(n);
+  // The whole value must be a decimal integer in [min, max]: "abc", "8x"
+  // or "" would otherwise read as 0 (atoi) and shed every request or turn
+  // the cache off.
+  const auto env_count = [](const char* name, auto& field,
+                            std::uint64_t min) {
+    const char* v = std::getenv(name);
+    if (v == nullptr) return;
+    const std::string_view s(v);
+    std::uint64_t n = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    using Field = std::remove_reference_t<decltype(field)>;
+    if (ec != std::errc{} || end != s.data() + s.size() || n < min ||
+        n > static_cast<std::uint64_t>(std::numeric_limits<Field>::max())) {
+      std::fprintf(stderr,
+                   "cmesolve: ignoring %s=\"%s\" (want a whole number >= "
+                   "%llu); keeping %llu\n",
+                   name, v, static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(field));
+      return;
     }
-    return fallback;
+    field = static_cast<Field>(n);
   };
-  if (const char* v = std::getenv("CMESOLVE_SERVE_WORKERS")) {
-    const int n = std::atoi(v);
-    if (n > 0) opt.workers = n;
-  }
-  opt.queue_capacity = env_size("CMESOLVE_SERVE_QUEUE_CAP", opt.queue_capacity);
-  opt.cache_capacity = env_size("CMESOLVE_SERVE_CACHE_CAP", opt.cache_capacity);
-  if (const char* v = std::getenv("CMESOLVE_SERVE_WARM_START")) {
-    opt.warm_start = std::atoi(v) != 0;
-  }
-  if (const char* v = std::getenv("CMESOLVE_SERVE_MAX_DIST")) {
-    const double d = std::atof(v);
-    if (d >= 0.0) opt.warm_max_dist2 = d;
-  }
+  env_count("CMESOLVE_SERVE_WORKERS", opt.workers, 1);
+  env_count("CMESOLVE_SERVE_QUEUE_CAP", opt.queue_capacity, 0);
+  env_count("CMESOLVE_SERVE_CACHE_CAP", opt.cache_capacity, 0);
   return opt;
 }
 
@@ -234,26 +244,7 @@ void Controller::process(Request& rq) {
     const solver::CsrOperator op(a);
     const auto n = static_cast<std::size_t>(a.nrows);
     std::vector<real_t> x(n);
-
-    const std::string family = family_key(rq.sc);
-    const std::vector<real_t> logr = log_rates(rq.sc);
-    bool warm = false;
-    if (opt_.warm_start && !logr.empty()) {
-      if (auto seed = cache_.find_near(family, logr, opt_.warm_max_dist2)) {
-        // Same family => same enumeration => same size; the size check plus
-        // the hardened warm_restart fallback make a stale or foreign entry
-        // cost a cold start instead of UB.
-        std::vector<index_t> remap(seed->p.size());
-        for (std::size_t i = 0; i < remap.size(); ++i) {
-          remap[i] = static_cast<index_t>(i);
-        }
-        warm = seed->p.size() == n &&
-               solver::warm_restart(seed->p, remap, x);
-        if (warm) r.warm_dist2 = seed->dist2;
-      }
-    }
-    if (!warm) solver::fill_uniform(x);
-    r.warm_start_applied = warm;
+    solver::fill_uniform(x);
 
     solver::JacobiOptions jopt;
     jopt.eps = rq.sc.jacobi_eps;
@@ -267,16 +258,9 @@ void Controller::process(Request& rq) {
     r.reason = jr.reason;
     r.iterations = jr.iterations;
     r.residual = jr.residual;
-    if (warm) {
-      warm_starts_.fetch_add(1, std::memory_order_relaxed);
-      warm_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
-    } else {
-      cold_solves_.fetch_add(1, std::memory_order_relaxed);
-      cold_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
-    }
-    if (jr.reason == solver::StopReason::kConverged) {
-      cache_.insert(rq.key, family, logr, x);
-    }
+    cold_solves_.fetch_add(1, std::memory_order_relaxed);
+    cold_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
+    if (jr.reason == solver::StopReason::kConverged) cache_.insert(rq.key, x);
     r.p = std::move(x);
     completed_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
@@ -297,9 +281,7 @@ ServeStats Controller::stats() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.queue_evicted = queue_evicted_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   s.cold_solves = cold_solves_.load(std::memory_order_relaxed);
-  s.warm_iterations = warm_iterations_.load(std::memory_order_relaxed);
   s.cold_iterations = cold_iterations_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;

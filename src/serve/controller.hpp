@@ -11,8 +11,11 @@
 // Request lifecycle:
 //
 //   submit -> [parse/admission] -> queued -> [worker] -> exact-cache probe
-//          -> (hit: respond) | (miss: build -> warm-start probe -> solve
-//          -> cache insert -> respond)
+//          -> (hit: respond) | (miss: build -> cold solve from the uniform
+//          vector -> cache insert -> respond)
+//
+// A response is a function of the request alone: a hit returns the bytes
+// the cold solve of the same canonical scenario produced.
 //
 // Status codes:
 //   kOk       solve completed (see `reason` for how it stopped) or served
@@ -92,8 +95,6 @@ struct SolveResponse {
   real_t residual = 0.0;
 
   bool cache_hit = false;
-  bool warm_start_applied = false;  ///< warm_restart accepted the seed
-  real_t warm_dist2 = -1.0;         ///< log-rate distance of the seed; <0 none
 
   double queue_seconds = 0.0;  ///< admission -> dequeue (volatile)
   double solve_seconds = 0.0;  ///< dequeue -> response (volatile)
@@ -103,19 +104,15 @@ struct ServeOptions {
   int workers = 2;
   std::size_t queue_capacity = 64;   ///< queued (not in-flight) requests
   std::size_t cache_capacity = 128;  ///< resident ResultCache entries
-  bool warm_start = true;
-  /// NN warm-start acceptance radius (squared log-rate distance). 4.0 means
-  /// "rates within e^2 ~ 7.4x in aggregate" — generous for continuation
-  /// sweeps, far for unrelated parameter points.
-  real_t warm_max_dist2 = 4.0;
   /// Test seam: start with the workers parked so a test can fill the queue
   /// deterministically, then call resume().
   bool start_paused = false;
 };
 
-/// ServeOptions from CMESOLVE_SERVE_* environment variables (unset keeps
-/// the default): WORKERS, QUEUE_CAP, CACHE_CAP, WARM_START (0/1),
-/// MAX_DIST (squared log-rate radius).
+/// ServeOptions from CMESOLVE_SERVE_* environment variables: WORKERS (>= 1),
+/// QUEUE_CAP and CACHE_CAP (>= 0), each a whole decimal integer. An unset
+/// variable keeps the default; a malformed or out-of-range one keeps it too,
+/// with a warning on stderr.
 [[nodiscard]] ServeOptions serve_options_from_env();
 
 /// Aggregate daemon statistics (monotonic counters).
@@ -127,9 +124,11 @@ struct ServeStats {
   std::uint64_t shed = 0;           ///< kShed responses (incl. evictions)
   std::uint64_t queue_evicted = 0;  ///< shed specifically by priority eviction
   std::uint64_t cache_hits = 0;
-  std::uint64_t warm_starts = 0;  ///< solves seeded from a neighbor
-  std::uint64_t cold_solves = 0;  ///< solves seeded uniformly
-  std::uint64_t warm_iterations = 0;  ///< Jacobi iterations, warm solves
+  /// Always 0: every miss solves cold. Kept (with warm_iterations) because
+  /// the benchmark's serve.warm_frac and serve.warm_iter_ratio read them.
+  std::uint64_t warm_starts = 0;
+  std::uint64_t cold_solves = 0;      ///< solves seeded uniformly
+  std::uint64_t warm_iterations = 0;  ///< always 0, see warm_starts
   std::uint64_t cold_iterations = 0;  ///< Jacobi iterations, cold solves
   CacheStats cache;
 };
@@ -198,9 +197,7 @@ class Controller {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> queue_evicted_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> warm_starts_{0};
   std::atomic<std::uint64_t> cold_solves_{0};
-  std::atomic<std::uint64_t> warm_iterations_{0};
   std::atomic<std::uint64_t> cold_iterations_{0};
 };
 

@@ -31,9 +31,10 @@ namespace cmesolve::serve {
     std::string name, const core::ReactionNetwork& net,
     core::State initial, std::size_t max_states, real_t damping = 0.8);
 
-/// A parameter-sweep family: one base scenario plus rate-jittered variants.
-/// All variants share the base's family_key (same topology/capacities/
-/// initial/solver config), so they warm-start off each other.
+/// A parameter-sweep family: one base scenario plus rate-jittered variants
+/// sharing its topology, capacities, initial state and solver options.
+/// Each variant is a distinct cache key, so its first request is a cold
+/// solve.
 struct SweepFamily {
   std::string name;
   std::vector<verify::Scenario> variants;
@@ -47,8 +48,9 @@ struct SweepFamily {
                                             real_t jitter, std::uint64_t seed);
 
 /// The stock load-harness families: a genetic toggle switch (reduced
-/// buffers) and the phage-lambda lysis/lysogeny switch, both sized so a
-/// cold solve is ~10^2..10^3 Jacobi iterations.
+/// buffers) and the phage-lambda lysis/lysogeny switch. A cold solve takes
+/// about 2,000-15,000 Jacobi iterations on the toggle switch, depending on
+/// the rates, and about 4,000 on phage lambda.
 [[nodiscard]] std::vector<SweepFamily> builtin_families(std::size_t nvariants,
                                                         real_t jitter,
                                                         std::uint64_t seed);
@@ -80,12 +82,9 @@ struct LoadReport {
   std::uint64_t failed = 0;
   std::uint64_t invalid = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t warm_starts = 0;
   std::uint64_t cold_solves = 0;
-  std::uint64_t warm_iterations = 0;
   std::uint64_t cold_iterations = 0;
   double hit_rate = 0.0;        ///< cache_hits / max(ok, 1)
-  double warm_mean_iters = 0.0;
   double cold_mean_iters = 0.0;
   double p50_ms = 0.0;  ///< end-to-end request latency percentiles
   double p99_ms = 0.0;

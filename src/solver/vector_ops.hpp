@@ -119,8 +119,9 @@ inline void fill_uniform(std::span<real_t> v) {
 }
 
 /// Warm-start vector for a re-solve on a renumbered/extended index set (the
-/// FSP expansion/prune loop, src/fsp/, and the serve warm-start cache,
-/// src/serve/): every new-index entry starts at `fill`, surviving entries
+/// FSP expansion/prune loop, src/fsp/, and the ensemble solver's
+/// continuation seeding, src/solver/batched.cpp): every new-index entry
+/// starts at `fill`, surviving entries
 /// copy the previous solution through `remap` (old index -> new index,
 /// -1 = dropped), and the result is L1-normalized back to a probability
 /// vector. With remap[i] == i this degenerates to "pad the old landscape

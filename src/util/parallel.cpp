@@ -152,8 +152,14 @@ class Pool {
 
 int hardware_threads() noexcept {
 #if defined(CMESOLVE_THREADS_ENABLED)
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  // Resolved once: hardware_concurrency() reads sysfs on every call (about
+  // 5 us here), and max_threads() runs on every parallel_for, i.e. on every
+  // Jacobi sweep.
+  static const int cached = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return cached;
 #else
   return 1;
 #endif

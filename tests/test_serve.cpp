@@ -1,19 +1,18 @@
-// Tests for the CME-as-a-service subsystem (src/serve/): result cache,
-// warm-start contract, admission/priority scheduling — plus the regression
-// tests for the PR's request-path bugfix sweep (transient truncation
+// Tests for the CME-as-a-service subsystem (src/serve/): exact-key result
+// cache, environment options, admission/priority scheduling — plus
+// regression tests for the request-path bugfixes (transient truncation
 // accounting, hardened JSON reader, warm_restart fallback).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/models.hpp"
 #include "core/rate_matrix.hpp"
 #include "core/state_space.hpp"
 #include "serve/cache.hpp"
@@ -34,12 +33,6 @@ namespace {
 bool bitwise_equal(std::span<const real_t> a, std::span<const real_t> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
-}
-
-real_t l1_distance(std::span<const real_t> a, std::span<const real_t> b) {
-  real_t d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
-  return d;
 }
 
 /// Tiny birth-death chain: 41 states, solves in milliseconds.
@@ -63,56 +56,16 @@ verify::Scenario birth_death(real_t birth, real_t death) {
   return sc;
 }
 
-/// Small phage lambda (the ISSUE's warm-start acceptance model), sized for
-/// a unit test.
-verify::Scenario small_phage() {
-  core::models::PhageLambdaParams p;
-  p.cap_ci = p.cap_cro = 5;
-  p.cap_ci2 = p.cap_cro2 = 2;
-  return scenario_from_network("phage-small", core::models::phage_lambda(p),
-                               core::models::phage_lambda_initial(p), 200'000,
-                               /*damping=*/0.95);
-}
-
 // ---------------------------------------------------------------------------
 // Cache keying
 // ---------------------------------------------------------------------------
 
-TEST(ServeCache, FamilyKeyIgnoresRatesAndIdentity) {
-  const verify::Scenario a = birth_death(2.0, 1.0);
-  verify::Scenario b = birth_death(17.0, 0.25);
-  b.name = "other-name";
-  b.seed = 99;
-  EXPECT_NE(cache_key(a), cache_key(b));
-  EXPECT_EQ(family_key(a), family_key(b));
-
-  verify::Scenario c = birth_death(2.0, 1.0);
-  c.species[0].capacity = 41;  // different box => different family
-  EXPECT_NE(family_key(a), family_key(c));
-
-  verify::Scenario d = birth_death(2.0, 1.0);
-  d.jacobi_damping = 0.5;  // different solver contract => different family
-  EXPECT_NE(family_key(a), family_key(d));
-}
-
-TEST(ServeCache, LogRateDistanceMatchesContinuationMetric) {
-  const verify::Scenario a = birth_death(2.0, 1.0);
-  const verify::Scenario b = birth_death(2.0 * std::exp(1.0), 1.0);
-  const real_t d2 = log_rate_dist2(log_rates(a), log_rates(b));
-  EXPECT_NEAR(d2, 1.0, 1e-12);
-  // Non-positive rates carry no log coordinates and never warm-start.
-  verify::Scenario z = birth_death(2.0, 1.0);
-  z.reactions[0].rate = 0.0;
-  EXPECT_TRUE(log_rates(z).empty());
-  EXPECT_TRUE(std::isinf(log_rate_dist2(log_rates(z), log_rates(a))));
-}
-
 TEST(ServeCache, LruEvictsOldestAndCountsIt) {
   ResultCache cache(2);
-  cache.insert("k1", "f", {0.0}, {1.0});
-  cache.insert("k2", "f", {0.0}, {1.0});
+  cache.insert("k1", {1.0});
+  cache.insert("k2", {1.0});
   ASSERT_NE(cache.find_exact("k1"), nullptr);  // bump k1; k2 is now oldest
-  cache.insert("k3", "f", {0.0}, {1.0});
+  cache.insert("k3", {1.0});
   EXPECT_EQ(cache.find_exact("k2"), nullptr);
   EXPECT_NE(cache.find_exact("k1"), nullptr);
   EXPECT_NE(cache.find_exact("k3"), nullptr);
@@ -121,23 +74,74 @@ TEST(ServeCache, LruEvictsOldestAndCountsIt) {
   EXPECT_EQ(s.entries, 2u);
 }
 
-TEST(ServeCache, NearProbeRespectsFamilyAndRadius) {
-  ResultCache cache(8);
-  cache.insert("a", "famA", {0.0}, {0.5, 0.5});
-  cache.insert("b", "famB", {0.0}, {0.25, 0.75});
-  cache.insert("c", "famA", {3.0}, {0.75, 0.25});
-  const auto near = cache.find_near("famA", {0.1}, 1.0);
-  ASSERT_TRUE(near.has_value());
-  EXPECT_EQ(near->source_key, "a");
-  EXPECT_NEAR(near->dist2, 0.01, 1e-12);
-  // famB's closer coordinates must not leak across families.
-  EXPECT_FALSE(cache.find_near("famC", {0.0}, 100.0).has_value());
-  // Outside the radius: no seed.
-  EXPECT_FALSE(cache.find_near("famA", {10.0}, 1.0).has_value());
+// ---------------------------------------------------------------------------
+// Environment options
+// ---------------------------------------------------------------------------
+
+/// Sets one environment variable for a scope and restores it afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = ::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(ServeOptionsEnv, WorkersAcceptsOnlyAPositiveWholeNumber) {
+  const int dflt = ServeOptions{}.workers;
+  {
+    ScopedEnv e("CMESOLVE_SERVE_WORKERS", "3");
+    EXPECT_EQ(serve_options_from_env().workers, 3);
+  }
+  for (const char* bad : {"abc", "", "0", "-2", "4x", "2.5", " 3"}) {
+    ScopedEnv e("CMESOLVE_SERVE_WORKERS", bad);
+    EXPECT_EQ(serve_options_from_env().workers, dflt) << '"' << bad << '"';
+  }
+}
+
+TEST(ServeOptionsEnv, QueueCapKeepsTheDefaultOnAMalformedValue) {
+  // "abc" used to read as 0 and shed every request.
+  const std::size_t dflt = ServeOptions{}.queue_capacity;
+  {
+    ScopedEnv e("CMESOLVE_SERVE_QUEUE_CAP", "0");
+    EXPECT_EQ(serve_options_from_env().queue_capacity, 0u);
+  }
+  for (const char* bad : {"abc", "", "-1", "16k", "99999999999999999999999"}) {
+    ScopedEnv e("CMESOLVE_SERVE_QUEUE_CAP", bad);
+    EXPECT_EQ(serve_options_from_env().queue_capacity, dflt)
+        << '"' << bad << '"';
+  }
+}
+
+TEST(ServeOptionsEnv, CacheCapKeepsTheDefaultOnAMalformedValue) {
+  // "abc" used to read as 0 and silently disable the cache.
+  const std::size_t dflt = ServeOptions{}.cache_capacity;
+  {
+    ScopedEnv e("CMESOLVE_SERVE_CACHE_CAP", "12");
+    EXPECT_EQ(serve_options_from_env().cache_capacity, 12u);
+  }
+  for (const char* bad : {"abc", "", "-5", "1e3", "0x10"}) {
+    ScopedEnv e("CMESOLVE_SERVE_CACHE_CAP", bad);
+    EXPECT_EQ(serve_options_from_env().cache_capacity, dflt)
+        << '"' << bad << '"';
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Daemon: cache hits, warm starts, scheduling
+// Daemon: cache hits, cold misses, scheduling
 // ---------------------------------------------------------------------------
 
 TEST(Serve, CacheHitIsBitwiseIdenticalToTheColdSolve) {
@@ -168,59 +172,29 @@ TEST(Serve, CacheHitIsBitwiseIdenticalToTheColdSolve) {
   EXPECT_EQ(s.cold_solves, 1u);
 }
 
-TEST(Serve, NearMissWarmStartConvergesToTheSameAnswerInFewerIterations) {
-  const verify::Scenario base = small_phage();
-  // A genuinely near miss: 2% on the CI synthesis rates. Jacobi's
-  // asymptotic rate is start-independent, so the warm start buys the
-  // log(err0 ratio) head start — at check_every=100 granularity that needs
-  // the seed to be close to show up.
-  verify::Scenario variant = base;
-  variant.name = "phage-small-up";
-  for (auto& r : variant.reactions) {
-    if (r.name == "synthCI_basal" || r.name == "synthCI_active") r.rate *= 1.02;
-  }
-
-  // Cold reference for the variant (warm start off).
-  ServeOptions cold_opt;
-  cold_opt.workers = 1;
-  cold_opt.warm_start = false;
-  Controller cold_ctl(cold_opt);
-  SolveResponse cold = cold_ctl.submit(verify::Scenario(variant)).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  ASSERT_FALSE(cold.warm_start_applied);
-
-  // Warm path: solve the base first, then the near-miss variant.
-  ServeOptions warm_opt;
-  warm_opt.workers = 1;
-  Controller warm_ctl(warm_opt);
-  ASSERT_EQ(warm_ctl.submit(verify::Scenario(base)).get().status, Status::kOk);
-  SolveResponse warm = warm_ctl.submit(verify::Scenario(variant)).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_FALSE(warm.cache_hit);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_GE(warm.warm_dist2, 0.0);
-
-  // Same fixed point (both converged to eps), measurably fewer sweeps.
-  EXPECT_LT(warm.iterations, cold.iterations);
-  EXPECT_LT(l1_distance(warm.p, cold.p), 1e-6);
-}
-
-TEST(Serve, UniformRateScalingWarmStartsToAnImmediateConvergence) {
-  // Scaling every rate by the same factor scales A but not its null space:
-  // the cached base solution IS the variant's stationary vector, so the
-  // warm-started solve converges at the first residual check.
-  const verify::Scenario base = birth_death(2.0, 1.0);
-  verify::Scenario scaled = birth_death(2.0 * 1.5, 1.0 * 1.5);
+TEST(Serve, ResponseDoesNotDependOnCacheHistory) {
+  // Variant B served on a fresh daemon and on one that has just solved a
+  // near neighbour A (5% on one rate): a miss always starts from the
+  // uniform vector, so both answers are the same bytes after the same
+  // number of sweeps.
+  const verify::Scenario a = birth_death(2.0, 1.0);
+  const verify::Scenario b = birth_death(2.1, 1.0);
   ServeOptions opt;
   opt.workers = 1;
-  Controller ctl(opt);
-  SolveResponse cold = ctl.submit(verify::Scenario(base)).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  SolveResponse warm = ctl.submit(verify::Scenario(scaled)).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_LT(warm.iterations, cold.iterations);
-  EXPECT_LE(warm.iterations, 100u);  // first check_every boundary
+
+  Controller fresh(opt);
+  const SolveResponse alone = fresh.submit(verify::Scenario(b)).get();
+  ASSERT_EQ(alone.status, Status::kOk);
+
+  Controller primed(opt);
+  ASSERT_EQ(primed.submit(verify::Scenario(a)).get().status, Status::kOk);
+  const SolveResponse after = primed.submit(verify::Scenario(b)).get();
+  ASSERT_EQ(after.status, Status::kOk);
+  EXPECT_FALSE(after.cache_hit);
+
+  EXPECT_TRUE(bitwise_equal(after.p, alone.p));
+  EXPECT_EQ(after.iterations, alone.iterations);
+  EXPECT_EQ(after.residual, alone.residual);
 }
 
 TEST(Serve, QueueFullShedsAndPriorityEvictsTheYoungestLowPriority) {
@@ -348,7 +322,6 @@ std::size_t process_threads() {
 
   ServeOptions opt;
   opt.workers = 1;
-  opt.warm_start = false;
   Controller ctl(opt);
   const std::size_t before_miss = process_threads();
   const SolveResponse r = ctl.submit(sc).get();
@@ -428,8 +401,8 @@ TEST(ServeLoad, ClosedLoopDeterministicModeServesEveryRequest) {
   EXPECT_EQ(rep.shed + rep.failed + rep.invalid, 0u);
   // 6 variants, 40 Zipf-skewed requests: most are repeats.
   EXPECT_GT(rep.cache_hits, 20u);
-  EXPECT_GE(rep.warm_starts + rep.cold_solves, 1u);
-  EXPECT_EQ(rep.cache_hits + rep.warm_starts + rep.cold_solves, rep.ok);
+  EXPECT_GE(rep.cold_solves, 1u);
+  EXPECT_EQ(rep.cache_hits + rep.cold_solves, rep.ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -642,21 +615,23 @@ TEST(WarmRestartRegression, AllMassDroppedFallsBackToUniform) {
 }
 
 TEST(WarmRestartRegression, ServeRecordsWarmStartAppliedHonestly) {
-  // A cache seed that cannot fit (different max_states => different family,
-  // so it is never offered) — here we check the response flag through the
-  // public path: first solve cold, near-miss warm, and the flags disagree.
+  // The daemon never seeds a solve from a cached neighbour: a near miss
+  // after a cold solve is another cold solve, and the warm counters the
+  // statistics still carry stay at zero.
   ServeOptions opt;
   opt.workers = 1;
   Controller ctl(opt);
-  SolveResponse cold = ctl.submit(verify::Scenario(birth_death(2.0, 1.0))).get();
-  ASSERT_EQ(cold.status, Status::kOk);
-  EXPECT_FALSE(cold.warm_start_applied);
-  EXPECT_LT(cold.warm_dist2, 0.0);
-  SolveResponse warm =
+  SolveResponse first =
+      ctl.submit(verify::Scenario(birth_death(2.0, 1.0))).get();
+  ASSERT_EQ(first.status, Status::kOk);
+  SolveResponse near =
       ctl.submit(verify::Scenario(birth_death(2.1, 1.0))).get();
-  ASSERT_EQ(warm.status, Status::kOk);
-  EXPECT_TRUE(warm.warm_start_applied);
-  EXPECT_GE(warm.warm_dist2, 0.0);
+  ASSERT_EQ(near.status, Status::kOk);
+  EXPECT_FALSE(near.cache_hit);
+  const ServeStats s = ctl.stats();
+  EXPECT_EQ(s.cold_solves, 2u);
+  EXPECT_EQ(s.warm_starts, 0u);
+  EXPECT_EQ(s.warm_iterations, 0u);
 }
 
 }  // namespace
