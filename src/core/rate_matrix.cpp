@@ -1,5 +1,6 @@
 #include "core/rate_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -47,14 +48,16 @@ sparse::Csr rate_matrix(const StateSpace& space) {
     // reallocates, whatever the network density.
     part.reserve(static_cast<std::size_t>(j1 - j0) *
                  static_cast<std::size_t>(nr + 1));
+    State next(static_cast<std::size_t>(net.num_species()));
     for (index_t j = j0; j < j1; ++j) {
-      const State x = space.state(j);
+      const StateView x = space.counts(j);
       real_t out_rate = 0.0;
       for (int k = 0; k < nr; ++k) {
         if (!net.within_capacity(k, x)) continue;
         const real_t a = net.propensity(k, x);
         if (a <= 0.0) continue;
-        const index_t i = space.find(net.apply(k, x));
+        net.apply_into(k, x, next);
+        const index_t i = space.find(next);
         if (i < 0) {
           throw std::logic_error("rate_matrix: successor not enumerated");
         }
@@ -122,16 +125,18 @@ void ProjectedRateMatrix::extend(const DynamicStateSpace& space) {
     const index_t j0 = old_n + static_cast<index_t>(c) * kAssemblyChunk;
     const index_t j1 = std::min<index_t>(j0 + kAssemblyChunk, n);
     Chunk& chunk = chunks[static_cast<std::size_t>(c)];
+    State next(static_cast<std::size_t>(num_species_));
     for (index_t j = j0; j < j1; ++j) {
-      const State x = space.state(j);
+      const StateView x = space.counts(j);
       std::size_t len = 0;
       real_t total = 0.0;
       for (int k = 0; k < nr; ++k) {
         if (!network_->within_capacity(k, x)) continue;
         const real_t a = network_->propensity(k, x);
         if (a <= 0.0) continue;
-        const State next = network_->apply(k, x);
-        if (next == x) continue;  // null transition cancels in the generator
+        network_->apply_into(k, x, next);
+        // A null transition cancels in the generator.
+        if (std::equal(next.begin(), next.end(), x.begin())) continue;
         chunk.succ_state.insert(chunk.succ_state.end(), next.begin(),
                                 next.end());
         chunk.succ_rate.push_back(a);
@@ -202,7 +207,6 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble(
     throw std::invalid_argument(
         "ProjectedRateMatrix::assemble: return_state not a member");
   }
-  const auto ns = static_cast<std::size_t>(num_species_);
 
   Assembly out;
   out.outflow.assign(static_cast<std::size_t>(n), 0.0);
@@ -219,17 +223,13 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble(
     part.reserve(stencil_ptr_[static_cast<std::size_t>(j1)] -
                  stencil_ptr_[static_cast<std::size_t>(j0)] +
                  2 * static_cast<std::size_t>(j1 - j0));
-    State next(ns);
     for (index_t j = j0; j < j1; ++j) {
       const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
       const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
       real_t leaked = 0.0;
       for (std::size_t s = b; s < e; ++s) {
-        for (std::size_t sp = 0; sp < ns; ++sp) {
-          next[sp] = succ_state_[s * ns + sp];
-        }
         const real_t a = succ_rate_[s];
-        const index_t i = space.find(next);
+        const index_t i = space.find(successor(s));
         if (i >= 0) {
           part.add(i, j, a);
         } else {
@@ -276,7 +276,6 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble_absorbing(
         "ProjectedRateMatrix::assemble_absorbing: stencil cache out of "
         "sync; call extend()/compact() after every space mutation");
   }
-  const auto ns = static_cast<std::size_t>(num_species_);
 
   Assembly out;
   out.outflow.assign(static_cast<std::size_t>(n), 0.0);
@@ -291,17 +290,13 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble_absorbing(
     part.reserve(stencil_ptr_[static_cast<std::size_t>(j1)] -
                  stencil_ptr_[static_cast<std::size_t>(j0)] +
                  static_cast<std::size_t>(j1 - j0));
-    State next(ns);
     for (index_t j = j0; j < j1; ++j) {
       const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
       const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
       real_t leaked = 0.0;
       for (std::size_t s = b; s < e; ++s) {
-        for (std::size_t sp = 0; sp < ns; ++sp) {
-          next[sp] = succ_state_[s * ns + sp];
-        }
         const real_t a = succ_rate_[s];
-        const index_t i = space.find(next);
+        const index_t i = space.find(successor(s));
         if (i >= 0) {
           part.add(i, j, a);
         } else {
@@ -337,15 +332,11 @@ ProjectedRateMatrix::Assembly ProjectedRateMatrix::assemble_absorbing(
 void ProjectedRateMatrix::out_of_set_successors(const DynamicStateSpace& space,
                                                 index_t j,
                                                 std::vector<State>& out) const {
-  const auto ns = static_cast<std::size_t>(num_species_);
   const std::size_t b = stencil_ptr_[static_cast<std::size_t>(j)];
   const std::size_t e = stencil_ptr_[static_cast<std::size_t>(j) + 1];
-  State next(ns);
   for (std::size_t s = b; s < e; ++s) {
-    for (std::size_t sp = 0; sp < ns; ++sp) {
-      next[sp] = succ_state_[s * ns + sp];
-    }
-    if (space.find(next) < 0) out.push_back(next);
+    const StateView next = successor(s);
+    if (space.find(next) < 0) out.emplace_back(next.begin(), next.end());
   }
 }
 

@@ -97,6 +97,12 @@ class ProjectedRateMatrix {
   std::vector<std::int32_t> succ_state_;
   std::vector<real_t> succ_rate_;
   std::vector<real_t> total_rate_;  ///< per-state Σ propensities
+
+  /// Cached successor s (a flat stencil position) as a view.
+  [[nodiscard]] StateView successor(std::size_t s) const noexcept {
+    const auto ns = static_cast<std::size_t>(num_species_);
+    return {succ_state_.data() + s * ns, ns};
+  }
 };
 
 }  // namespace cmesolve::core

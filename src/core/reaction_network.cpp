@@ -1,5 +1,6 @@
 #include "core/reaction_network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/binomial.hpp"
@@ -48,7 +49,7 @@ int ReactionNetwork::find_species(std::string_view name) const noexcept {
   return -1;
 }
 
-real_t ReactionNetwork::propensity(int k, const State& x) const {
+real_t ReactionNetwork::propensity(int k, StateView x) const {
   const Reaction& r = reactions_[static_cast<std::size_t>(k)];
   // Rate-last association: the propensity is rate * (unit combinatorial
   // product). Keeping the rate as the final multiply makes every
@@ -63,7 +64,7 @@ real_t ReactionNetwork::propensity(int k, const State& x) const {
   return r.rate * a;
 }
 
-bool ReactionNetwork::within_capacity(int k, const State& x) const {
+bool ReactionNetwork::within_capacity(int k, StateView x) const {
   const Reaction& r = reactions_[static_cast<std::size_t>(k)];
   for (const auto& ch : r.changes) {
     const std::int32_t next = x[static_cast<std::size_t>(ch.species)] + ch.delta;
@@ -74,16 +75,22 @@ bool ReactionNetwork::within_capacity(int k, const State& x) const {
   return true;
 }
 
-State ReactionNetwork::apply(int k, const State& x) const {
-  State next = x;
-  const Reaction& r = reactions_[static_cast<std::size_t>(k)];
-  for (const auto& ch : r.changes) {
-    next[static_cast<std::size_t>(ch.species)] += ch.delta;
-  }
+State ReactionNetwork::apply(int k, StateView x) const {
+  State next(x.size());
+  apply_into(k, x, next);
   return next;
 }
 
-bool ReactionNetwork::valid_state(const State& x) const {
+void ReactionNetwork::apply_into(int k, StateView x,
+                                 std::span<std::int32_t> out) const {
+  std::copy(x.begin(), x.end(), out.begin());
+  const Reaction& r = reactions_[static_cast<std::size_t>(k)];
+  for (const auto& ch : r.changes) {
+    out[static_cast<std::size_t>(ch.species)] += ch.delta;
+  }
+}
+
+bool ReactionNetwork::valid_state(StateView x) const {
   if (x.size() != capacity_.size()) return false;
   for (std::size_t s = 0; s < x.size(); ++s) {
     if (x[s] < 0 || x[s] > capacity_[s]) return false;

@@ -21,6 +21,10 @@ namespace cmesolve::core {
 /// Species copy-number vector. Kept as plain int32 counts.
 using State = std::vector<std::int32_t>;
 
+/// Read-only view of a microstate's counts: a State, or a row of an
+/// enumerated space's flat count array (no copy, no allocation).
+using StateView = std::span<const std::int32_t>;
+
 struct Reactant {
   int species = 0;
   std::int32_t copies = 1;  ///< c_i in the propensity binomial
@@ -75,21 +79,25 @@ class ReactionNetwork {
   [[nodiscard]] int find_species(std::string_view name) const noexcept;
 
   /// A_k(x): zero when reactants are missing. Does NOT check capacity.
-  [[nodiscard]] real_t propensity(int k, const State& x) const;
+  [[nodiscard]] real_t propensity(int k, StateView x) const;
 
   /// True when x + delta_k stays inside [0, capacity] for every species.
-  [[nodiscard]] bool within_capacity(int k, const State& x) const;
+  [[nodiscard]] bool within_capacity(int k, StateView x) const;
 
   /// Applicable = propensity > 0 and within capacity.
-  [[nodiscard]] bool applicable(int k, const State& x) const {
+  [[nodiscard]] bool applicable(int k, StateView x) const {
     return within_capacity(k, x) && propensity(k, x) > 0.0;
   }
 
   /// Successor state x + delta_k (no checks; pair with applicable()).
-  [[nodiscard]] State apply(int k, const State& x) const;
+  [[nodiscard]] State apply(int k, StateView x) const;
+
+  /// Successor x + delta_k written into `out` (same size as x; may not
+  /// alias it). The allocation-free form of apply().
+  void apply_into(int k, StateView x, std::span<std::int32_t> out) const;
 
   /// True when every species count is inside [0, capacity].
-  [[nodiscard]] bool valid_state(const State& x) const;
+  [[nodiscard]] bool valid_state(StateView x) const;
 
  private:
   std::vector<std::string> species_names_;

@@ -354,7 +354,7 @@ void StencilTable::compile_reactions() {
   }
 }
 
-index_t StencilTable::box_index(const State& x) const {
+index_t StencilTable::box_index(StateView x) const {
   if (x.size() != static_cast<std::size_t>(num_species_) ||
       !network_->valid_state(x)) {
     return -1;

@@ -143,7 +143,7 @@ class StencilTable {
 
   /// Box row of a microstate; -1 when x lies outside the capacity box or
   /// violates a conservation total (wrong conservation class).
-  [[nodiscard]] index_t box_index(const State& x) const;
+  [[nodiscard]] index_t box_index(StateView x) const;
 
   /// Decode a box row into copy numbers for EVERY species (derived counts
   /// may fall outside [0, capacity] on masked rows; see row_valid).

@@ -1,6 +1,5 @@
 #include "serve/controller.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -17,6 +16,7 @@
 #include "solver/vector_ops.hpp"
 #include "sparse/csr.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "verify/repro_io.hpp"
 
 namespace cmesolve::serve {
@@ -45,12 +45,10 @@ ServeOptions serve_options_from_env() {
                             std::uint64_t min) {
     const char* v = std::getenv(name);
     if (v == nullptr) return;
-    const std::string_view s(v);
-    std::uint64_t n = 0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
     using Field = std::remove_reference_t<decltype(field)>;
-    if (ec != std::errc{} || end != s.data() + s.size() || n < min ||
-        n > static_cast<std::uint64_t>(std::numeric_limits<Field>::max())) {
+    const auto n = util::parse_count(
+        v, min, static_cast<std::uint64_t>(std::numeric_limits<Field>::max()));
+    if (!n) {
       std::fprintf(stderr,
                    "cmesolve: ignoring %s=\"%s\" (want a whole number >= "
                    "%llu); keeping %llu\n",
@@ -58,7 +56,7 @@ ServeOptions serve_options_from_env() {
                    static_cast<unsigned long long>(field));
       return;
     }
-    field = static_cast<Field>(n);
+    field = static_cast<Field>(*n);
   };
   env_count("CMESOLVE_SERVE_WORKERS", opt.workers, 1);
   env_count("CMESOLVE_SERVE_QUEUE_CAP", opt.queue_capacity, 0);

@@ -724,7 +724,7 @@ void StencilOperator::scatter_from(const core::StateSpace& space,
                                    std::span<real_t> to) const {
   std::fill(to.begin(), to.end(), 0.0);
   for (index_t j = 0; j < space.size(); ++j) {
-    const index_t i = table_.box_index(space.state(j));
+    const index_t i = table_.box_index(space.counts(j));
     if (i < 0) {
       throw std::invalid_argument(
           "StencilOperator::scatter_from: state outside the stencil box");
@@ -737,7 +737,7 @@ void StencilOperator::gather_to(const core::StateSpace& space,
                                 std::span<const real_t> from,
                                 std::span<real_t> to) const {
   for (index_t j = 0; j < space.size(); ++j) {
-    const index_t i = table_.box_index(space.state(j));
+    const index_t i = table_.box_index(space.counts(j));
     if (i < 0) {
       throw std::invalid_argument(
           "StencilOperator::gather_to: state outside the stencil box");
@@ -763,7 +763,7 @@ MaskedStencilOperator::MaskedStencilOperator(
   box_of_.resize(m);
   std::vector<index_t> member_at(n, -1);
   for (index_t j = 0; j < members_; ++j) {
-    const index_t bj = table.box_index(space.state(j));
+    const index_t bj = table.box_index(space.counts(j));
     if (bj < 0 || member_at[static_cast<std::size_t>(bj)] >= 0) {
       throw std::logic_error(
           "MaskedStencilOperator: member outside the stencil box");

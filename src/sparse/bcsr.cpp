@@ -90,8 +90,7 @@ void spmv(const Bcsr& m, std::span<const real_t> x, std::span<real_t> y) {
   const real_t* px = x.data();
   real_t* py = y.data();
   const index_t nblock_rows = m.nblock_rows;
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t br = 0; br < nblock_rows; ++br) {
+  util::omp_parallel_rows(index_t{0}, nblock_rows, [&](index_t br) {
     real_t acc[16] = {};  // supports block_rows up to 16
     assert(m.block_rows <= 16);
     for (index_t bp = brp[br]; bp < brp[br + 1]; ++bp) {
@@ -112,7 +111,7 @@ void spmv(const Bcsr& m, std::span<const real_t> x, std::span<real_t> y) {
       const index_t r = br * m.block_rows + lr;
       if (r < m.nrows) py[r] = acc[lr];
     }
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -165,14 +165,13 @@ void spmv(const Csr& m, std::span<const real_t> x, std::span<real_t> y) {
   const real_t* px = x.data();
   real_t* py = y.data();
   const index_t nrows = m.nrows;
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t r = 0; r < nrows; ++r) {
+  util::omp_parallel_rows(index_t{0}, nrows, [&](index_t r) {
     real_t sum = 0.0;
     for (index_t p = rp[r]; p < rp[r + 1]; ++p) {
       sum += va[p] * px[ci[p]];
     }
     py[r] = sum;
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -106,10 +106,9 @@ void spmv_add(const Dia& m, std::span<const real_t> x, std::span<real_t> y) {
     const real_t* band = m.data.data() + di * static_cast<std::size_t>(m.nrows);
     const index_t lo = std::max<index_t>(0, -off);
     const index_t hi = std::min<index_t>(m.nrows, m.ncols - off);
-    CMESOLVE_OMP_PARALLEL_FOR
-    for (index_t r = lo; r < hi; ++r) {
+    util::omp_parallel_rows(lo, hi, [&](index_t r) {
       py[r] += band[r] * px[r + off];
-    }
+    });
   }
 }
 

@@ -43,8 +43,7 @@ void spmv(const Ell& m, std::span<const real_t> x, std::span<real_t> y) {
   const index_t nrows = m.nrows;
   const index_t k = m.k;
   const std::size_t stride = static_cast<std::size_t>(m.padded_rows);
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t r = 0; r < nrows; ++r) {
+  util::omp_parallel_rows(index_t{0}, nrows, [&](index_t r) {
     real_t sum = 0.0;
     for (index_t j = 0; j < k; ++j) {
       const std::size_t slot = static_cast<std::size_t>(j) * stride +
@@ -55,7 +54,7 @@ void spmv(const Ell& m, std::span<const real_t> x, std::span<real_t> y) {
       }
     }
     py[r] = sum;
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

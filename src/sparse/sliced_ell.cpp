@@ -154,8 +154,7 @@ void spmv(const SlicedEll& m, std::span<const real_t> x, std::span<real_t> y) {
   const index_t* perm = m.perm.data();
   const real_t* px = x.data();
   real_t* py = y.data();
-  CMESOLVE_OMP_PARALLEL_FOR
-  for (index_t sl = 0; sl < num_slices; ++sl) {
+  util::omp_parallel_rows(index_t{0}, num_slices, [&](index_t sl) {
     const std::size_t base = m.slice_ptr[sl];
     const index_t k = m.slice_k[sl];
     for (index_t lane = 0; lane < m.slice_size; ++lane) {
@@ -173,7 +172,7 @@ void spmv(const SlicedEll& m, std::span<const real_t> x, std::span<real_t> y) {
       }
       py[perm[stored]] = sum;
     }
-  }
+  });
 }
 
 }  // namespace cmesolve::sparse

@@ -24,20 +24,6 @@
 #include <utility>
 #include <vector>
 
-// Portability shim for the OpenMP SpMV loops in src/sparse/: expands to the
-// pragma only when compiled with -fopenmp, so CMESOLVE_OPENMP=OFF builds are
-// silent under -Wunknown-pragmas and the plain loop stays vectorizable. The
-// if clause honours InlineRegion and pool tasks (in_parallel_region()): the
-// loop then runs on the calling thread instead of forking an OpenMP team, so
-// e.g. each serve worker stays one thread whatever OMP_NUM_THREADS says.
-// Rows are independent, so the result is the same either way.
-#if defined(_OPENMP)
-#define CMESOLVE_OMP_PARALLEL_FOR                                 \
-  _Pragma("omp parallel for schedule(static) if (!::cmesolve::util::in_parallel_region())")
-#else
-#define CMESOLVE_OMP_PARALLEL_FOR
-#endif
-
 namespace cmesolve::util {
 
 /// Physical parallelism of this host (>= 1).
@@ -84,6 +70,27 @@ class InlineRegion {
 /// rethrown on the calling thread after the barrier. May only be driven
 /// from one thread at a time; nested calls execute inline.
 void parallel_tasks(int ntasks, const std::function<void(int)>& task);
+
+/// Row loop of the OpenMP SpMV kernels in src/sparse/: body(r) for every r
+/// in [begin, end). Inside InlineRegion or a pool task (in_parallel_region())
+/// it is a plain loop on the calling thread that enters no OpenMP construct
+/// at all (an `if` clause on the pragma would still call into libgomp and
+/// start a one-thread team per loop), so e.g. each serve worker stays one
+/// thread whatever OMP_NUM_THREADS says. Otherwise the rows are split over
+/// an OpenMP team, statically. Rows are independent, so the result is the
+/// same either way. Without -fopenmp it is always the plain loop, which
+/// keeps CMESOLVE_OPENMP=OFF builds free of unknown pragmas.
+template <class Index, class Body>
+void omp_parallel_rows(Index begin, Index end, Body&& body) {
+#if defined(_OPENMP)
+  if (!in_parallel_region()) {
+#pragma omp parallel for schedule(static)
+    for (Index r = begin; r < end; ++r) body(r);
+    return;
+  }
+#endif
+  for (Index r = begin; r < end; ++r) body(r);
+}
 
 /// Chunked parallel loop: fn(begin, end) over disjoint subranges covering
 /// [0, n). Use for element-wise work whose result is independent of the

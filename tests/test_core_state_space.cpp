@@ -53,6 +53,13 @@ TEST(StateSpace, TruncationFlag) {
   EXPECT_EQ(space.size(), 10);
 }
 
+TEST(StateSpace, SpeciesFreeNetworkHasOneState) {
+  const ReactionNetwork net;
+  const StateSpace space(net, State{}, 10);
+  EXPECT_EQ(space.size(), 1);
+  EXPECT_EQ(space.find(State{}), 0);
+}
+
 TEST(StateSpace, InvalidInitialThrows) {
   const auto net = birth_death(5, 1.0, 1.0);
   EXPECT_THROW(StateSpace(net, State{7}, 100), std::invalid_argument);
@@ -107,6 +114,127 @@ TEST(StateSpace, DfsChainsReversiblePairsAdjacently) {
   }
   EXPECT_GT(static_cast<real_t>(adjacent) / static_cast<real_t>(space.size()),
             0.8);
+}
+
+// --- pinned visit order ------------------------------------------------------
+//
+// FNV-1a signatures of whole enumerations, computed with the node-map
+// implementation the flat index replaced. Any change to the DFS/BFS/random
+// visit order, to applicability, or to the pop-time indexing rule moves them.
+
+/// FNV-1a over every count(i, s) (4 little-endian bytes each), then size()
+/// (8 bytes) and truncated() (1 byte).
+template <class Space>
+std::uint64_t order_signature(const Space& space, bool truncated) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (index_t i = 0; i < space.size(); ++i) {
+    for (int s = 0; s < space.num_species(); ++s) {
+      mix(static_cast<std::uint32_t>(space.count(i, s)), 4);
+    }
+  }
+  mix(static_cast<std::uint64_t>(space.size()), 8);
+  mix(truncated ? 1U : 0U, 1);
+  return h;
+}
+
+struct OrderCase {
+  const char* name;
+  ReactionNetwork network;
+  State initial;
+  std::size_t max_states;
+  VisitOrder order;
+  std::uint64_t signature;
+};
+
+std::vector<OrderCase> order_cases() {
+  models::ToggleSwitchParams tp;
+  tp.cap_a = tp.cap_b = 8;
+  models::ToggleSwitchParams tp_big;
+  tp_big.cap_a = tp_big.cap_b = 20;
+  models::BrusselatorParams bp;
+  bp.cap_x = 12;
+  bp.cap_y = 7;
+  models::PhageLambdaParams pp;
+  pp.cap_ci = pp.cap_cro = 6;
+  pp.cap_ci2 = pp.cap_cro2 = 3;
+  const auto toggle = models::toggle_switch(tp);
+  const auto toggle_big = models::toggle_switch(tp_big);
+  const auto bruss = models::brusselator(bp);
+  const auto phage = models::phage_lambda(pp);
+  const auto ti = models::toggle_switch_initial(tp);
+  const auto tbi = models::toggle_switch_initial(tp_big);
+  const auto bi = models::brusselator_initial(bp);
+  const auto pi = models::phage_lambda_initial(pp);
+  constexpr std::size_t kAll = 1'000'000;
+  using enum VisitOrder;
+  return {
+      {"toggle-dfs", toggle, ti, kAll, kDfs, 4574087264998370430ULL},
+      {"toggle-bfs", toggle, ti, kAll, kBfs, 13833727565192524542ULL},
+      {"toggle-random", toggle, ti, kAll, kRandom, 10641417357924640830ULL},
+      {"brusselator-dfs", bruss, bi, kAll, kDfs, 6069136117054018615ULL},
+      {"brusselator-bfs", bruss, bi, kAll, kBfs, 5623406080107779511ULL},
+      {"brusselator-random", bruss, bi, kAll, kRandom, 16131411536113312663ULL},
+      {"phage-dfs", phage, pi, kAll, kDfs, 3692332850939018713ULL},
+      {"phage-bfs", phage, pi, kAll, kBfs, 7973248585014161689ULL},
+      {"phage-random", phage, pi, kAll, kRandom, 13880813657902414201ULL},
+      {"toggle20-dfs-truncated", toggle_big, tbi, 300, kDfs,
+       10188632432317458925ULL},
+      {"toggle20-bfs-truncated", toggle_big, tbi, 300, kBfs,
+       10894710637063536363ULL},
+  };
+}
+
+TEST(StateSpaceOrder, SignaturesPinnedForEveryVisitOrder) {
+  for (const auto& c : order_cases()) {
+    const StateSpace space(c.network, c.initial, c.max_states, c.order, 42);
+    EXPECT_EQ(order_signature(space, space.truncated()), c.signature)
+        << c.name << " (" << space.size() << " states)";
+    for (index_t i = 0; i < space.size(); ++i) {
+      ASSERT_EQ(space.find(space.state(i)), i) << c.name;
+    }
+  }
+}
+
+TEST(StateSpaceOrder, DynamicAddGrowCompactFindPinned) {
+  models::ToggleSwitchParams tp;
+  tp.cap_a = tp.cap_b = 12;
+  const auto net = models::toggle_switch(tp);
+  DynamicStateSpace space(net, models::toggle_switch_initial(tp));
+  State extra = models::toggle_switch_initial(tp);
+  extra[0] = 5;
+  const index_t added = space.add(extra);
+  EXPECT_EQ(space.add(extra), added) << "re-adding a member keeps its index";
+  space.grow_bfs(400);
+  EXPECT_EQ(order_signature(space, false), 2804928478052881035ULL)
+      << "after grow_bfs";
+
+  std::vector<char> keep(static_cast<std::size_t>(space.size()));
+  for (std::size_t i = 0; i < keep.size(); ++i) keep[i] = (i % 3 != 1);
+  const State dropped = space.state(1);
+  const auto remap = space.compact(keep);
+  EXPECT_EQ(order_signature(space, false), 2434007879828830666ULL)
+      << "after compact";
+  for (std::size_t i = 0; i < remap.size(); ++i) {
+    EXPECT_EQ(remap[i], keep[i] ? static_cast<index_t>(i - (i + 1) / 3) : -1);
+  }
+  for (index_t i = 0; i < space.size(); ++i) {
+    ASSERT_EQ(space.find(space.state(i)), i);
+  }
+  ASSERT_TRUE(net.valid_state(dropped));
+  EXPECT_EQ(space.find(dropped), -1) << "in-box non-member";
+
+  space.grow_bfs(700);
+  EXPECT_EQ(order_signature(space, false), 6438094204079408157ULL)
+      << "after regrowth";
+  for (index_t i = 0; i < space.size(); ++i) {
+    ASSERT_EQ(space.find(space.state(i)), i);
+  }
 }
 
 // --- rate matrix ----------------------------------------------------------------

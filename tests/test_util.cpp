@@ -1,11 +1,12 @@
 // Unit tests for src/util: binomial coefficients, RNG, streaming stats,
-// table rendering.
+// table rendering, strict number parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "util/binomial.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -210,6 +211,29 @@ TEST(TextTable, CountFormatting) {
   EXPECT_EQ(TextTable::count(1000), "1,000");
   EXPECT_EQ(TextTable::count(1234567), "1,234,567");
   EXPECT_EQ(TextTable::count(-1234), "-1,234");
+}
+
+TEST(Parse, CountAcceptsOnlyAWholeNumberInRange) {
+  EXPECT_EQ(util::parse_count("0", 0, 10), 0u);
+  EXPECT_EQ(util::parse_count("64", 0, 64), 64u);
+  EXPECT_EQ(util::parse_count("18446744073709551615", 0, ~0ULL), ~0ULL);
+  for (const char* bad : {"", "abc", "8x", " 8", "8 ", "-1", "+1", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(util::parse_count(bad, 0, ~0ULL)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(util::parse_count("0", 1, 10)) << "below min";
+  EXPECT_FALSE(util::parse_count("11", 1, 10)) << "above max";
+}
+
+TEST(Parse, RealAcceptsOnlyAWholeFiniteNumberInRange) {
+  EXPECT_EQ(util::parse_real("1.1", 0.0, 2.0), 1.1);
+  EXPECT_EQ(util::parse_real("0", 0.0, 1.0), 0.0);
+  EXPECT_EQ(util::parse_real("2.5e-1", 0.0, 1.0), 0.25);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(util::parse_real(bad, -1e300, 1e300)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(util::parse_real("-0.1", 0.0, 1.0)) << "below min";
+  EXPECT_FALSE(util::parse_real("1.01", 0.0, 1.0)) << "above max";
 }
 
 }  // namespace

@@ -27,11 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "obs/report.hpp"
 #include "serve/controller.hpp"
 #include "serve/workload.hpp"
+#include "util/parse.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 
@@ -60,36 +62,66 @@ int main(int argc, char** argv) {
   bool deterministic = false;
   double min_hit_rate = -1.0;
 
+  constexpr auto kMaxInt =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  constexpr auto kMaxSize =
+      static_cast<std::uint64_t>(std::numeric_limits<std::size_t>::max());
+  constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr double kHuge = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Every numeric flag must be one whole number in range; anything else
+    // is a usage error, never a silent 0.
+    const auto count = [&](std::uint64_t min, std::uint64_t max) {
+      const char* v = next();
+      const auto n = util::parse_count(v, min, max);
+      if (!n) {
+        std::fprintf(stderr, "%s: %s wants a whole number in [%llu, %llu], "
+                     "got \"%s\"\n", argv[0], a,
+                     static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), v);
+        usage(argv[0]);
+      }
+      return *n;
+    };
+    const auto real = [&](double min, double max) {
+      const char* v = next();
+      const auto x = util::parse_real(v, min, max);
+      if (!x) {
+        std::fprintf(stderr, "%s: %s wants a number in [%g, %g], got \"%s\"\n",
+                     argv[0], a, min, max, v);
+        usage(argv[0]);
+      }
+      return *x;
+    };
     if (std::strcmp(a, "--requests") == 0) {
-      lopt.requests = static_cast<std::size_t>(std::atol(next()));
+      lopt.requests = static_cast<std::size_t>(count(1, kMaxSize));
     } else if (std::strcmp(a, "--clients") == 0) {
-      lopt.clients = std::atoi(next());
+      lopt.clients = static_cast<int>(count(1, kMaxInt));
     } else if (std::strcmp(a, "--workers") == 0) {
-      sopt.workers = std::atoi(next());
+      sopt.workers = static_cast<int>(count(1, kMaxInt));
     } else if (std::strcmp(a, "--variants") == 0) {
-      nvariants = static_cast<std::size_t>(std::atol(next()));
+      nvariants = static_cast<std::size_t>(count(1, kMaxSize));
     } else if (std::strcmp(a, "--zipf") == 0) {
-      lopt.zipf_s = std::atof(next());
+      lopt.zipf_s = real(0.0, kHuge);
     } else if (std::strcmp(a, "--think") == 0) {
-      lopt.think_seconds = std::atof(next());
+      lopt.think_seconds = real(0.0, kHuge);
     } else if (std::strcmp(a, "--jitter") == 0) {
-      jitter = std::atof(next());
+      jitter = real(0.0, kHuge);
     } else if (std::strcmp(a, "--seed") == 0) {
-      lopt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      lopt.seed = count(0, kMaxU64);
     } else if (std::strcmp(a, "--queue-cap") == 0) {
-      sopt.queue_capacity = static_cast<std::size_t>(std::atol(next()));
+      sopt.queue_capacity = static_cast<std::size_t>(count(0, kMaxSize));
     } else if (std::strcmp(a, "--cache-cap") == 0) {
-      sopt.cache_capacity = static_cast<std::size_t>(std::atol(next()));
+      sopt.cache_capacity = static_cast<std::size_t>(count(0, kMaxSize));
     } else if (std::strcmp(a, "--deterministic") == 0) {
       deterministic = true;
     } else if (std::strcmp(a, "--min-hit-rate") == 0) {
-      min_hit_rate = std::atof(next());
+      min_hit_rate = real(0.0, 1.0);
     } else {
       usage(argv[0]);
     }
@@ -99,7 +131,6 @@ int main(int argc, char** argv) {
     sopt.workers = 1;
     lopt.think_seconds = 0.0;
   }
-  if (lopt.requests == 0 || nvariants == 0) usage(argv[0]);
 
   obs::set_context("program", "cme_serve_load");
   obs::set_context("serve.workers", std::to_string(sopt.workers));
