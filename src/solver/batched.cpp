@@ -389,8 +389,10 @@ std::vector<JacobiResult> batched_jacobi_solve(const BatchedStencilOperator& op,
         // Fused scale + swap through the SIMD kernel table: one pass
         // computes the update and exchanges it with x (same expressions and
         // element order as the two-pass form, so the bits cannot differ; it
-        // just touches memory once). The damped formula is a separate
-        // kernel — at omega == 1 it is NOT bitwise the undamped one.
+        // just touches memory once). Like jacobi_solve's, both kernels
+        // flush entries below util::simdk::kFlushBelow to +0.0, so a lane
+        // stays bitwise the single-RHS solve. The damped formula is a
+        // separate kernel with its own operation chain.
         if (omega == 1.0) {
           util::parallel_for(n * kk,
                              [pn, px, pd, &ko](std::size_t b, std::size_t e) {

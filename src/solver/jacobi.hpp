@@ -147,8 +147,9 @@ JacobiResult jacobi_solve(const Op& op, real_t a_inf_norm,
       op.multiply(x, next);
       // Fused diagonal-scale + swap through the SIMD kernel table: one
       // pass over the state instead of scale-then-swap, same per-element
-      // values. The damped formula stays a separate kernel — at
-      // omega == 1 it is NOT bitwise the undamped one (signed zeros).
+      // values. Both kernels store +0.0 for entries below
+      // util::simdk::kFlushBelow, so the iterate never turns subnormal.
+      // The damped formula stays a separate kernel with its own chain.
       real_t* pn = next.data();
       real_t* px = x.data();
       const real_t* pd = d.data();

@@ -71,19 +71,27 @@ class InlineRegion {
 /// from one thread at a time; nested calls execute inline.
 void parallel_tasks(int ntasks, const std::function<void(int)>& task);
 
+/// Smallest range worth splitting across threads: parallel_for's default
+/// grain (a range of at most one grain runs inline), and the row count below
+/// which omp_parallel_rows runs a plain loop instead of an OpenMP team.
+inline constexpr std::size_t kParallelGrain = 4096;
+
 /// Row loop of the OpenMP SpMV kernels in src/sparse/: body(r) for every r
-/// in [begin, end). Inside InlineRegion or a pool task (in_parallel_region())
-/// it is a plain loop on the calling thread that enters no OpenMP construct
-/// at all (an `if` clause on the pragma would still call into libgomp and
-/// start a one-thread team per loop), so e.g. each serve worker stays one
-/// thread whatever OMP_NUM_THREADS says. Otherwise the rows are split over
-/// an OpenMP team, statically. Rows are independent, so the result is the
-/// same either way. Without -fopenmp it is always the plain loop, which
-/// keeps CMESOLVE_OPENMP=OFF builds free of unknown pragmas.
+/// in [begin, end). Inside InlineRegion or a pool task (in_parallel_region()),
+/// and for a range below kParallelGrain rows, it is a plain loop on the
+/// calling thread that enters no OpenMP construct at all (an `if` clause on
+/// the pragma would still call into libgomp and start a one-thread team per
+/// loop), so e.g. each serve worker stays one thread whatever
+/// OMP_NUM_THREADS says, and a small matrix does not pay a team's fork and
+/// spin-waits on every sweep. Otherwise the rows are split over an OpenMP
+/// team, statically. Rows are independent, so the result is the same either
+/// way. Without -fopenmp it is always the plain loop, which keeps
+/// CMESOLVE_OPENMP=OFF builds free of unknown pragmas.
 template <class Index, class Body>
 void omp_parallel_rows(Index begin, Index end, Body&& body) {
 #if defined(_OPENMP)
-  if (!in_parallel_region()) {
+  if (end - begin >= static_cast<Index>(kParallelGrain) &&
+      !in_parallel_region()) {
 #pragma omp parallel for schedule(static)
     for (Index r = begin; r < end; ++r) body(r);
     return;
@@ -97,7 +105,8 @@ void omp_parallel_rows(Index begin, Index end, Body&& body) {
 /// chunking (stores to disjoint indices). `grain` is a minimum chunk size;
 /// chunks may be larger when n is big, so do not rely on chunk boundaries.
 template <class Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 4096) {
+void parallel_for(std::size_t n, Fn&& fn,
+                  std::size_t grain = kParallelGrain) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   const int t = max_threads();

@@ -6,11 +6,11 @@
 //
 //   1. A thin fixed-width vector abstraction over doubles (scalar / SSE2 /
 //      AVX2 / AVX-512, NEON on aarch64) with load/store, masked load/store,
-//      broadcast, the arithmetic the solver kernels need, and fused
-//      multiply-add. The types only exist in translation units compiled
-//      with the matching -m flags (the per-ISA kernel TUs under
-//      src/util/simd_kernels_*.cpp); everything else uses only the Isa
-//      enum and the dispatch API below.
+//      broadcast, the arithmetic the solver kernels need, fused
+//      multiply-add and a small-magnitude flush. The types only exist in
+//      translation units compiled with the matching -m flags (the per-ISA
+//      kernel TUs under src/util/simd_kernels_*.cpp); everything else uses
+//      only the Isa enum and the dispatch API below.
 //
 //   2. Runtime dispatch: at first use the library probes the CPU once,
 //      picks the widest ISA that is BOTH compiled in and supported, and
@@ -138,6 +138,12 @@ struct VecScalar {
   /// True when any lane compares != 0.0 (unordered: NaN lanes count as
   /// nonzero) — block-skip tests over sparse streams.
   [[nodiscard]] bool any_nonzero() const noexcept { return !(v == 0.0); }
+  /// Lanes whose magnitude is below t's become +0.0; the rest, NaN
+  /// included (the compare is ordered), keep their bits. The Jacobi update
+  /// kernels use it to keep the iterate out of the subnormal range.
+  [[nodiscard]] VecScalar flush_below(VecScalar t) const noexcept {
+    return {std::fabs(v) < t.v ? 0.0 : v};
+  }
 };
 
 #if defined(__SSE2__)
@@ -189,6 +195,10 @@ struct VecSse2 {
     // NEQ is an unordered comparison: NaN lanes report nonzero.
     return _mm_movemask_pd(_mm_cmpneq_pd(v, _mm_setzero_pd())) != 0;
   }
+  [[nodiscard]] VecSse2 flush_below(VecSse2 t) const noexcept {
+    const __m128d mag = _mm_andnot_pd(_mm_set1_pd(-0.0), v);
+    return {_mm_andnot_pd(_mm_cmplt_pd(mag, t.v), v)};
+  }
 };
 #endif  // __SSE2__
 
@@ -234,6 +244,10 @@ struct VecAvx2 {
   [[nodiscard]] bool any_nonzero() const noexcept {
     return _mm256_movemask_pd(
                _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ)) != 0;
+  }
+  [[nodiscard]] VecAvx2 flush_below(VecAvx2 t) const noexcept {
+    const __m256d mag = _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
+    return {_mm256_andnot_pd(_mm256_cmp_pd(mag, t.v, _CMP_LT_OQ), v)};
   }
 };
 #endif  // __AVX2__
@@ -288,6 +302,11 @@ struct VecAvx512 {
   [[nodiscard]] bool any_nonzero() const noexcept {
     return _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_NEQ_UQ) != 0;
   }
+  [[nodiscard]] VecAvx512 flush_below(VecAvx512 t) const noexcept {
+    const __mmask8 tiny =
+        _mm512_cmp_pd_mask(_mm512_abs_pd(v), t.v, _CMP_LT_OQ);
+    return {_mm512_mask_blend_pd(tiny, v, _mm512_setzero_pd())};
+  }
 };
 #endif  // __AVX512F__
 
@@ -332,6 +351,12 @@ struct VecNeon {
     const uint64x2_t eq = vceqq_f64(v, vdupq_n_f64(0.0));
     return (vgetq_lane_u64(eq, 0) & vgetq_lane_u64(eq, 1)) !=
            ~std::uint64_t{0};
+  }
+  [[nodiscard]] VecNeon flush_below(VecNeon t) const noexcept {
+    // vcltq is an ordered compare: NaN lanes test false and keep their bits.
+    const uint64x2_t tiny = vcltq_f64(vabsq_f64(v), t.v);
+    return {vreinterpretq_f64_u64(
+        vbicq_u64(vreinterpretq_u64_f64(v), tiny))};
   }
 };
 #endif  // __ARM_NEON && __aarch64__

@@ -22,6 +22,15 @@
 
 namespace cmesolve::util::simdk {
 
+/// The four Jacobi update kernels (scale_swap and its damped and lane
+/// forms) store +0.0 for every new iterate entry whose magnitude is below
+/// this. An entry that underflows towards the subnormal range would cost a
+/// microcode assist on every multiply, add and divide that touches it;
+/// flushed at 1e-300 it stays 2^25 above DBL_MIN, and one sweep moves the
+/// L1 norm by at most n * 1e-300. Not hardware FTZ/DAZ: that mode is per
+/// thread, so the bits would depend on which thread ran a chunk.
+inline constexpr real_t kFlushBelow = 1e-300;
+
 /// One batched-lane stencil sweep chunk (BatchedStencilOperator).
 /// Layout is point-major: element (row i, lane q) lives at x[i*k + q].
 /// Lane freezing is mapped onto the SIMD path by zeroing the frozen
@@ -65,15 +74,16 @@ struct KernelOps {
                           std::size_t n);
   /// x[i] *= a
   void (*scale)(real_t* x, real_t a, std::size_t n);
-  /// Fused Jacobi scale+swap: v = -nx[i]/d[i]; nx[i] = x[i]; x[i] = v.
+  /// Fused Jacobi scale+swap: v = -nx[i]/d[i]; nx[i] = x[i];
+  /// x[i] = flush(v), where flush stores +0.0 when |v| < kFlushBelow.
   void (*scale_swap)(real_t* x, real_t* nx, const real_t* d, std::size_t n);
   /// Damped variant: v = (1-omega)*x[i] - omega*nx[i]/d[i]; nx[i] = x[i];
-  /// x[i] = v. Kept separate from scale_swap — at omega == 1 the damped
-  /// formula is NOT bitwise the undamped one (signed-zero differences).
+  /// x[i] = flush(v). Kept separate from scale_swap — at omega == 1 the
+  /// damped formula is not the undamped one's operation chain.
   void (*scale_swap_damped)(real_t* x, real_t* nx, const real_t* d,
                             real_t omega, std::size_t n);
   /// Lane-masked scale+swap over an interleaved [rows][k] block: active
-  /// lanes get the scale_swap update, frozen lanes keep their bits
+  /// lanes get the scale_swap update and flush, frozen lanes keep their bits
   /// (mask mapped onto SIMD blends; frozen nx lanes receive x's bits —
   /// dead by the frozen-lane contract).
   void (*lane_scale_swap)(real_t* x, real_t* nx, const real_t* d,

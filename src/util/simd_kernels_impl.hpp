@@ -52,6 +52,14 @@ inline void prefetch_rw(const void* p) noexcept {
 #endif
 }
 
+// The Jacobi update kernels' flush (kFlushBelow). The scalar tails call the
+// width-1 lane op, so they are the reference the vector bodies match.
+inline real_t flush(real_t v) noexcept {
+  return simd::VecScalar{v}
+      .flush_below(simd::VecScalar::broadcast(kFlushBelow))
+      .v;
+}
+
 // Expands a uint8 lane mask into per-lane all-ones / all-zero double bit
 // patterns so the vector loops can blend. Only the masked lane_* kernels
 // pay for this, once per chunk call (amortized over the chunk's rows).
@@ -161,17 +169,18 @@ void scale(real_t* x, real_t a, std::size_t n) {
 void scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t n) {
   std::size_t i = 0;
   if constexpr (kW > 1) {
+    const V vt = V::broadcast(kFlushBelow);
     for (; i + kW <= n; i += kW) {
       const V vx = V::load(x + i);
       const V v = V::load(nx + i).neg() / V::load(d + i);
       vx.store(nx + i);
-      v.store(x + i);
+      v.flush_below(vt).store(x + i);
     }
   }
   for (; i < n; ++i) {
     const real_t v = -nx[i] / d[i];
     nx[i] = x[i];
-    x[i] = v;
+    x[i] = flush(v);
   }
 }
 
@@ -182,17 +191,18 @@ void scale_swap_damped(real_t* x, real_t* nx, const real_t* d, real_t omega,
   if constexpr (kW > 1) {
     const V vw1 = V::broadcast(w1);
     const V vom = V::broadcast(omega);
+    const V vt = V::broadcast(kFlushBelow);
     for (; i + kW <= n; i += kW) {
       const V vx = V::load(x + i);
       const V v = vw1 * vx - (vom * V::load(nx + i)) / V::load(d + i);
       vx.store(nx + i);
-      v.store(x + i);
+      v.flush_below(vt).store(x + i);
     }
   }
   for (; i < n; ++i) {
     const real_t v = w1 * x[i] - (omega * nx[i]) / d[i];
     nx[i] = x[i];
-    x[i] = v;
+    x[i] = flush(v);
   }
 }
 
@@ -201,6 +211,7 @@ void lane_scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t rows,
   if constexpr (kW > 1) {
     if (k >= static_cast<std::size_t>(kW)) {
       const std::vector<double> mask = expand_lane_mask(lane_active, k);
+      const V vt = V::broadcast(kFlushBelow);
       for (std::size_t i = 0; i < rows; ++i) {
         real_t* px = x + i * k;
         real_t* pn = nx + i * k;
@@ -214,13 +225,13 @@ void lane_scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t rows,
           // blended away — finite/nonzero never traps, result is dead.
           const V v = vn.neg() / V::load(pd + q);
           V::select(m, vx, vn).store(pn + q);
-          V::select(m, v, vx).store(px + q);
+          V::select(m, v.flush_below(vt), vx).store(px + q);
         }
         for (; q < k; ++q) {
           if (!lane_active[q]) continue;
           const real_t v = -pn[q] / pd[q];
           pn[q] = px[q];
-          px[q] = v;
+          px[q] = flush(v);
         }
       }
       return;
@@ -234,7 +245,7 @@ void lane_scale_swap(real_t* x, real_t* nx, const real_t* d, std::size_t rows,
       if (!lane_active[q]) continue;
       const real_t v = -pn[q] / pd[q];
       pn[q] = px[q];
-      px[q] = v;
+      px[q] = flush(v);
     }
   }
 }
@@ -248,6 +259,7 @@ void lane_scale_swap_damped(real_t* x, real_t* nx, const real_t* d,
       const std::vector<double> mask = expand_lane_mask(lane_active, k);
       const V vw1 = V::broadcast(w1);
       const V vom = V::broadcast(omega);
+      const V vt = V::broadcast(kFlushBelow);
       for (std::size_t i = 0; i < rows; ++i) {
         real_t* px = x + i * k;
         real_t* pn = nx + i * k;
@@ -259,13 +271,13 @@ void lane_scale_swap_damped(real_t* x, real_t* nx, const real_t* d,
           const V vn = V::load(pn + q);
           const V v = vw1 * vx - (vom * vn) / V::load(pd + q);
           V::select(m, vx, vn).store(pn + q);
-          V::select(m, v, vx).store(px + q);
+          V::select(m, v.flush_below(vt), vx).store(px + q);
         }
         for (; q < k; ++q) {
           if (!lane_active[q]) continue;
           const real_t v = w1 * px[q] - (omega * pn[q]) / pd[q];
           pn[q] = px[q];
-          px[q] = v;
+          px[q] = flush(v);
         }
       }
       return;
@@ -279,7 +291,7 @@ void lane_scale_swap_damped(real_t* x, real_t* nx, const real_t* d,
       if (!lane_active[q]) continue;
       const real_t v = w1 * px[q] - (omega * pn[q]) / pd[q];
       pn[q] = px[q];
-      px[q] = v;
+      px[q] = flush(v);
     }
   }
 }

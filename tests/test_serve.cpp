@@ -356,7 +356,22 @@ TEST(ServeRegression, CsrMissUnderInlineRegionForksNoOpenMpTeam) {
   ::setenv("OMP_NUM_THREADS", "4", 1);
   const std::string outer_style = ::testing::FLAGS_gtest_death_test_style;
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(csr_miss_with_four_omp_threads(birth_death(3.0, 1.25)),
+  // The CSR loops fork a team only from util::kParallelGrain rows up, so
+  // the reference needs that many states: two independent birth-death
+  // species of 65 counts each give 4,225, and converge in 400 sweeps where
+  // a 5,000-state chain takes 6,500.
+  verify::Scenario sc = birth_death(3.0, 1.25);
+  sc.species[0].capacity = 64;
+  sc.species.push_back({"Y", 64});
+  for (verify::ScenarioReaction r : birth_death(3.0, 1.25).reactions) {
+    for (auto& reactant : r.reactants) reactant.species = 1;
+    for (auto& change : r.changes) change.species = 1;
+    r.name += "-y";
+    sc.reactions.push_back(r);
+  }
+  sc.initial = {0, 0};
+  static_assert(util::kParallelGrain <= 65u * 65u);
+  EXPECT_EXIT(csr_miss_with_four_omp_threads(sc),
               ::testing::ExitedWithCode(0), "");
   ::testing::FLAGS_gtest_death_test_style = outer_style;
   if (outer_env != nullptr) {
