@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -146,7 +147,8 @@ constexpr index_t kDiagChunk = 4096;
 
 }  // namespace
 
-StencilTable::StencilTable(const ReactionNetwork& network, const State& anchor)
+StencilTable::StencilTable(const ReactionNetwork& network, const State& anchor,
+                           index_t max_rows)
     : network_(&network),
       anchor_(anchor),
       num_species_(network.num_species()) {
@@ -157,7 +159,7 @@ StencilTable::StencilTable(const ReactionNetwork& network, const State& anchor)
         "StencilTable: anchor state outside the capacity box");
   }
   detect_laws();
-  build_geometry();
+  build_geometry(max_rows);
   compile_reactions();
   build_diagonal();
   obs::count("stencil.tables_built");
@@ -269,7 +271,7 @@ void StencilTable::detect_laws() {
   }
 }
 
-void StencilTable::build_geometry() {
+void StencilTable::build_geometry(index_t max_rows) {
   std::vector<char> derived(static_cast<std::size_t>(num_species_), 0);
   for (const auto& law : laws_) {
     derived[static_cast<std::size_t>(law.species)] = 1;
@@ -293,10 +295,10 @@ void StencilTable::build_geometry() {
     radix_[d] = network_->capacity(free_species_[d]) + 1;
     weight_[d] = rows;
     rows *= radix_[d];
-    if (rows > std::numeric_limits<index_t>::max()) {
+    if (rows > max_rows) {
       throw std::invalid_argument(
-          "StencilTable: conservation-reduced box exceeds index_t; shrink "
-          "capacities");
+          "StencilTable: conservation-reduced box exceeds " +
+          std::to_string(max_rows) + " rows; shrink capacities");
     }
   }
   box_rows_ = static_cast<index_t>(rows);

@@ -31,6 +31,7 @@
 //
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -89,10 +90,12 @@ struct StencilReaction {
 /// Precomputed stencil geometry + per-row diagonal for one (network,
 /// anchor state) pair. Immutable after construction; cheap to copy by
 /// move. Construction throws std::invalid_argument when the reduced box
-/// still exceeds index_t, and publishes the stencil.* metrics.
+/// has more than `max_rows` rows (at most index_t's range), before any
+/// per-row work is done, and publishes the stencil.* metrics.
 class StencilTable {
  public:
-  StencilTable(const ReactionNetwork& network, const State& anchor);
+  StencilTable(const ReactionNetwork& network, const State& anchor,
+               index_t max_rows = std::numeric_limits<index_t>::max());
 
   /// Rebind: share every structural table of `base` — conservation laws,
   /// mixed-radix geometry, per-reaction strides/windows/factors — and swap
@@ -199,7 +202,7 @@ class StencilTable {
 
  private:
   void detect_laws();
-  void build_geometry();
+  void build_geometry(index_t max_rows);
   void compile_reactions();
   void build_diagonal();
 

@@ -1,9 +1,12 @@
 #include "serve/controller.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -11,8 +14,10 @@
 
 #include "core/rate_matrix.hpp"
 #include "core/state_space.hpp"
+#include "core/stencil.hpp"
 #include "obs/metrics.hpp"
 #include "solver/operators.hpp"
+#include "solver/stencil_operator.hpp"
 #include "solver/vector_ops.hpp"
 #include "sparse/csr.hpp"
 #include "util/parallel.hpp"
@@ -32,6 +37,29 @@ std::future<SolveResponse> ready_response(SolveResponse r) {
   std::promise<SolveResponse> p;
   p.set_value(std::move(r));
   return p.get_future();
+}
+
+/// A miss runs on the matrix-free stencil while the conservation-reduced
+/// box has at most this many rows per enumerated state. Every sweep pays
+/// for every box row, reachable or not, so a sparser box costs more than
+/// the assembly it saves, and the miss assembles CSR instead (DESIGN.md
+/// §15 gives the measured break-even).
+constexpr std::int64_t kMaxBoxRowsPerState = 2;
+
+/// The stencil over the space's box, or nothing when the box is past the
+/// cut-off or the network does not compile to a stencil.
+std::optional<solver::StencilOperator> stencil_for(
+    const core::ReactionNetwork& net, const core::State& anchor,
+    const core::StateSpace& space) {
+  const auto max_rows = static_cast<index_t>(
+      std::min<std::int64_t>(kMaxBoxRowsPerState * space.size(),
+                             std::numeric_limits<index_t>::max()));
+  try {
+    return solver::StencilOperator(
+        core::StencilTable(net, anchor, max_rows));
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace
@@ -238,18 +266,26 @@ void Controller::process(Request& rq) {
     if (space.size() < 2) {
       throw std::runtime_error("degenerate state space (fewer than 2 states)");
     }
-    const sparse::Csr a = core::rate_matrix(space);
-    const solver::CsrOperator op(a);
-    const auto n = static_cast<std::size_t>(a.nrows);
-    std::vector<real_t> x(n);
-    solver::fill_uniform(x);
+    const auto n = static_cast<std::size_t>(space.size());
+    std::vector<real_t> p(n);
+    solver::fill_uniform(p);
 
     solver::JacobiOptions jopt;
     jopt.eps = rq.sc.jacobi_eps;
     jopt.stagnation_eps = rq.sc.jacobi_stagnation_eps;
     jopt.max_iterations = rq.sc.jacobi_max_iterations;
     jopt.damping = rq.sc.jacobi_damping;
-    const solver::JacobiResult jr = jacobi_solve(op, a.inf_norm(), x, jopt);
+    solver::JacobiResult jr;
+    if (const auto op = stencil_for(net, rq.sc.initial, space)) {
+      std::vector<real_t> x(static_cast<std::size_t>(op->nrows()));
+      op->scatter_from(space, p, x);
+      jr = jacobi_solve(*op, op->space_inf_norm(space), x, jopt);
+      op->gather_to(space, x, p);
+    } else {
+      csr_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      const sparse::Csr a = core::rate_matrix(space);
+      jr = jacobi_solve(solver::CsrOperator(a), a.inf_norm(), p, jopt);
+    }
 
     r.status = Status::kOk;
     r.states = n;
@@ -258,8 +294,8 @@ void Controller::process(Request& rq) {
     r.residual = jr.residual;
     cold_solves_.fetch_add(1, std::memory_order_relaxed);
     cold_iterations_.fetch_add(jr.iterations, std::memory_order_relaxed);
-    if (jr.reason == solver::StopReason::kConverged) cache_.insert(rq.key, x);
-    r.p = std::move(x);
+    if (jr.reason == solver::StopReason::kConverged) cache_.insert(rq.key, p);
+    r.p = std::move(p);
     completed_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& e) {
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -281,6 +317,7 @@ ServeStats Controller::stats() const {
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cold_solves = cold_solves_.load(std::memory_order_relaxed);
   s.cold_iterations = cold_iterations_.load(std::memory_order_relaxed);
+  s.csr_fallbacks = csr_fallbacks_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;
 }

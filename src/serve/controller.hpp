@@ -11,8 +11,16 @@
 // Request lifecycle:
 //
 //   submit -> [parse/admission] -> queued -> [worker] -> exact-cache probe
-//          -> (hit: respond) | (miss: build -> cold solve from the uniform
-//          vector -> cache insert -> respond)
+//          -> (hit: respond) | (miss: build -> enumerate -> cold solve from
+//          the uniform vector -> cache insert -> respond)
+//
+// A miss solves on the matrix-free stencil over the conservation-reduced
+// box: the uniform vector over the enumerated states is scattered into the
+// box, Jacobi runs there, and the answer is gathered back into the DFS
+// order of the states. It stops on ||A||_inf over the enumerated rows, the
+// norm of the assembled matrix, not over the whole box. A box of more than
+// two rows per state (or a network the stencil cannot compile) assembles
+// CSR and solves on it instead (ServeStats::csr_fallbacks).
 //
 // A response is a function of the request alone: a hit returns the bytes
 // the cold solve of the same canonical scenario produced.
@@ -130,6 +138,9 @@ struct ServeStats {
   std::uint64_t cold_solves = 0;      ///< solves seeded uniformly
   std::uint64_t warm_iterations = 0;  ///< always 0, see warm_starts
   std::uint64_t cold_iterations = 0;  ///< Jacobi iterations, cold solves
+  /// Cold solves assembled as CSR because the stencil box was too sparse
+  /// (or the network does not compile to a stencil).
+  std::uint64_t csr_fallbacks = 0;
   CacheStats cache;
 };
 
@@ -199,6 +210,7 @@ class Controller {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cold_solves_{0};
   std::atomic<std::uint64_t> cold_iterations_{0};
+  std::atomic<std::uint64_t> csr_fallbacks_{0};
 };
 
 }  // namespace cmesolve::serve

@@ -28,6 +28,7 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 }
 
 constexpr std::size_t kSweepGrain = 4096;
+constexpr std::size_t kMaxTFactors = 8;
 
 }  // namespace
 
@@ -200,6 +201,12 @@ void StencilOperator::compile() {
       (pf.sT != 0 ? pr.t_factors : pf.sJ != 0 ? pr.j_factors
                                               : pr.const_factors)
           .push_back(pf);
+    }
+    // The general t-loop walks at most kMaxTFactors tables in step; reject
+    // the network here, where a caller can still choose another operator.
+    if (pr.t_factors.size() > kMaxTFactors) {
+      throw std::invalid_argument(
+          "StencilOperator: more than 8 t-varying factors");
     }
     P.rx.push_back(std::move(pr));
   }
@@ -617,8 +624,8 @@ void StencilOperator::sweep_recompute(std::span<const real_t> x,
                   }
                 }
               } else {
-                std::array<std::int32_t, 8> args{};
-                std::array<std::int32_t, 8> steps{};
+                std::array<std::int32_t, kMaxTFactors> args{};
+                std::array<std::int32_t, kMaxTFactors> steps{};
                 if (nt > args.size()) {
                   throw std::logic_error(
                       "StencilOperator: more than 8 t-varying factors");
@@ -717,6 +724,37 @@ void StencilOperator::compute_inf_norm() {
         return mx;
       },
       [](real_t a, real_t b) { return std::max(a, b); });
+}
+
+real_t StencilOperator::space_inf_norm(const core::StateSpace& space) const {
+  // Row sums over the space's own columns: a box row outside the space may
+  // feed a state of it, but rate_matrix(space) has no column for it.
+  const auto n = static_cast<std::size_t>(table_.box_rows());
+  const std::vector<real_t> ones(static_cast<std::size_t>(space.size()), 1.0);
+  std::vector<real_t> indicator(n);
+  std::vector<real_t> rowsum(n, 0.0);
+  scatter_from(space, ones, indicator);
+  multiply(indicator, rowsum);
+  const auto d = table_.diag();
+  core::State x(static_cast<std::size_t>(table_.num_species()));
+  real_t mx = 0.0;
+  for (index_t j = 0; j < space.size(); ++j) {
+    const auto i = static_cast<std::size_t>(table_.box_index(space.counts(j)));
+    // A space state is a valid box row, so the -1 sentinel on it means no
+    // reaction leaves it, unless its outflow is exactly 1.
+    if (d[i] == -1.0) {
+      table_.decode(static_cast<index_t>(i), x);
+      if (std::none_of(table_.reactions().begin(), table_.reactions().end(),
+                       [&](const core::StencilReaction& r) {
+                         return table_.out_propensity(r, x) > 0.0;
+                       })) {
+        throw std::domain_error(
+            "StencilOperator: zero diagonal (absorbing state in the CME)");
+      }
+    }
+    mx = std::max(mx, std::abs(d[i]) + rowsum[i]);
+  }
+  return mx;
 }
 
 void StencilOperator::scatter_from(const core::StateSpace& space,

@@ -72,6 +72,13 @@ class StencilOperator {
   /// ||A||_inf of the full generator (diagonal included), computed once at
   /// construction via a ones-vector sweep — the scale jacobi_solve wants.
   [[nodiscard]] real_t inf_norm() const noexcept { return inf_norm_; }
+  /// ||A||_inf over the rows of an enumerated space: the norm of
+  /// core::rate_matrix(space), from one sweep of the space's indicator
+  /// vector. inf_norm() spans the whole box, whose unreachable rows can
+  /// carry far larger rates. Throws std::domain_error when a state of the
+  /// space is absorbing (a zero diagonal in the assembled matrix), which
+  /// the box masks with the -1 sentinel instead.
+  [[nodiscard]] real_t space_inf_norm(const core::StateSpace& space) const;
 
   /// kPropensityCache only: the cached off-diagonal values, reaction-major
   /// (reactions() x box_rows; entry [k * box_rows + src] is the value the

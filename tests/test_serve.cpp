@@ -4,6 +4,7 @@
 // accounting, hardened JSON reader, warm_restart fallback).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,9 +24,11 @@
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "solver/operators.hpp"
+#include "solver/stencil_operator.hpp"
 #include "util/parallel.hpp"
 #include "verify/json_reader.hpp"
 #include "verify/repro_io.hpp"
+#include "verify/scenario.hpp"
 
 namespace cmesolve::serve {
 namespace {
@@ -283,7 +286,124 @@ TEST(Serve, AbsorbingScenarioFailsWithTheSolverDiagnostic) {
   EXPECT_NE(r.error.find("zero diagonal"), std::string::npos);
 }
 
-#if defined(_OPENMP)
+/// Jacobi options of a scenario, as the controller sets them.
+solver::JacobiOptions jacobi_options(const verify::Scenario& sc) {
+  solver::JacobiOptions jopt;
+  jopt.eps = sc.jacobi_eps;
+  jopt.stagnation_eps = sc.jacobi_stagnation_eps;
+  jopt.max_iterations = sc.jacobi_max_iterations;
+  jopt.damping = sc.jacobi_damping;
+  return jopt;
+}
+
+/// The assembled miss pipeline: enumerate, assemble CSR, Jacobi from the
+/// uniform vector.
+struct CsrAnswer {
+  std::vector<real_t> p;
+  solver::JacobiResult r;
+};
+
+CsrAnswer csr_answer(const verify::Scenario& sc) {
+  const core::ReactionNetwork net = verify::build_network(sc);
+  const core::StateSpace space(net, sc.initial, sc.max_states);
+  const sparse::Csr a = core::rate_matrix(space);
+  CsrAnswer out;
+  out.p.resize(static_cast<std::size_t>(a.nrows));
+  solver::fill_uniform(out.p);
+  out.r = solver::jacobi_solve(solver::CsrOperator(a), a.inf_norm(), out.p,
+                               jacobi_options(sc));
+  return out;
+}
+
+/// One request, in wire form, through a fresh one-worker daemon.
+SolveResponse serve_once(const verify::Scenario& sc, ServeStats& stats) {
+  ServeOptions opt;
+  opt.workers = 1;
+  Controller ctl(opt);
+  SolveResponse r = ctl.submit(verify::serialize_repro(sc)).get();
+  stats = ctl.stats();
+  return r;
+}
+
+/// L1 distance between two vectors of one size.
+real_t l1_distance(std::span<const real_t> a, std::span<const real_t> b) {
+  real_t d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
+  return d;
+}
+
+TEST(ServeRegression, MissStopsOnTheNormOfTheEnumeratedSpace) {
+  // fuzz-390-near-zero: 8 states in a 512-row box whose unreachable rows
+  // carry rates up to 1, against a norm of 1.7e-11 over the states. The
+  // box is past the stencil cut-off, so the miss is assembled.
+  {
+    const verify::Scenario sc = verify::random_scenario(390);
+    const CsrAnswer ref = csr_answer(sc);
+    ServeStats stats;
+    const SolveResponse r = serve_once(sc, stats);
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(stats.csr_fallbacks, 1u);
+    EXPECT_EQ(r.iterations, ref.r.iterations);
+    EXPECT_EQ(r.residual, ref.r.residual);
+    EXPECT_TRUE(bitwise_equal(r.p, ref.p));
+  }
+  // The same trap inside the cut-off: G only decays, at rate 1e6, so from
+  // G = 0 half of the 42-row box is unreachable and its norm is 1e6,
+  // against 43 over the states. Stopping on the box norm would end the
+  // solve after 100 sweeps instead of 200.
+  verify::Scenario sc = birth_death(2.0, 1.0);
+  sc.species[0].capacity = 20;
+  sc.species.push_back({"G", 1});
+  sc.reactions.push_back({"gate", 1e6, {{1, 1}}, {{1, -1}}});
+  sc.initial = {0, 0};
+  const CsrAnswer ref = csr_answer(sc);
+  ServeStats stats;
+  const SolveResponse r = serve_once(sc, stats);
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(stats.csr_fallbacks, 0u);
+  EXPECT_EQ(r.iterations, ref.r.iterations);
+  EXPECT_NEAR(r.residual, ref.r.residual, 1e-9 * ref.r.residual);
+  EXPECT_LE(l1_distance(r.p, ref.p), 1e-12);
+}
+
+TEST(ServeRegression, UnreachableAbsorbingBoxRowDoesNotFailTheMiss) {
+  // Autocatalytic birth X -> 2X and pair death 2X -> X from X = 5: the box
+  // row X = 0 has no outflow, but nothing reaches it, so the assembled
+  // space has no zero diagonal and neither may the stencil miss.
+  verify::Scenario sc;
+  sc.name = "autocatalytic";
+  sc.archetype = "serve-test";
+  sc.species.push_back({"X", 30});
+  sc.reactions.push_back({"birth", 1.0, {{0, 1}}, {{0, +1}}});
+  sc.reactions.push_back({"pair-death", 0.2, {{0, 2}}, {{0, -1}}});
+  sc.initial = {5};
+  const CsrAnswer ref = csr_answer(sc);
+  ServeStats stats;
+  const SolveResponse r = serve_once(sc, stats);
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(stats.csr_fallbacks, 0u);
+  EXPECT_EQ(r.states, ref.p.size());
+  EXPECT_EQ(r.iterations, ref.r.iterations);
+  EXPECT_NEAR(r.residual, ref.r.residual, 1e-9 * ref.r.residual);
+  EXPECT_LE(l1_distance(r.p, ref.p), 1e-12);
+}
+
+TEST(ServeRegression, SparseBoxMissIsAssembledAsBefore) {
+  // fuzz-13-conservation-ring: 120 states in a 512-row box, past the
+  // stencil cut-off, so the miss runs the assembled pipeline bit for bit.
+  const verify::Scenario sc = verify::random_scenario(13);
+  ASSERT_EQ(sc.archetype, "conservation-ring");
+  const CsrAnswer ref = csr_answer(sc);
+  ServeStats stats;
+  const SolveResponse r = serve_once(sc, stats);
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(stats.csr_fallbacks, 1u);
+  EXPECT_EQ(stats.cold_iterations, ref.r.iterations);
+  EXPECT_EQ(r.residual, ref.r.residual);
+  EXPECT_TRUE(bitwise_equal(r.p, ref.p));
+}
+
+#if defined(CMESOLVE_THREADS_ENABLED)
 /// Threads of this process (entries of /proc/self/task).
 std::size_t process_threads() {
   std::size_t n = 0;
@@ -294,32 +414,13 @@ std::size_t process_threads() {
   return n;
 }
 
-/// Death-test body, run in a fresh process with OMP_NUM_THREADS=4. libgomp
-/// keeps a team's threads alive per forking thread, so a loop that forked a
-/// team shows up as new entries in /proc/self/task. Exits 0 when the CSR
-/// miss stayed on the worker and matched the team-parallel reference.
-[[noreturn]] void csr_miss_with_four_omp_threads(const verify::Scenario& sc) {
-  util::set_max_threads(1);  // keep the thread pool out of the count
-  // Reference: the miss pipeline of Controller::process on this thread,
-  // outside any InlineRegion, where the CSR loops fork a 4-thread team.
-  const std::size_t before_reference = process_threads();
-  const core::ReactionNetwork net = verify::build_network(sc);
-  const core::StateSpace space(net, sc.initial, sc.max_states);
-  const sparse::Csr a = core::rate_matrix(space);
-  const solver::CsrOperator op(a);
-  std::vector<real_t> reference(static_cast<std::size_t>(a.nrows));
-  solver::fill_uniform(reference);
-  solver::JacobiOptions jopt;
-  jopt.eps = sc.jacobi_eps;
-  jopt.stagnation_eps = sc.jacobi_stagnation_eps;
-  jopt.max_iterations = sc.jacobi_max_iterations;
-  jopt.damping = sc.jacobi_damping;
-  (void)solver::jacobi_solve(op, a.inf_norm(), reference, jopt);
-  if (process_threads() <= before_reference) {
-    std::fprintf(stderr, "no OpenMP team outside InlineRegion\n");
-    std::_Exit(3);
-  }
-
+/// Death-test body, run in a fresh process with OMP_NUM_THREADS=4 and a
+/// 4-thread pool. The pool starts its threads on first use, so a miss that
+/// drove it, or forked an OpenMP team, would show up as new entries in
+/// /proc/self/task. Exits 0 when the stencil miss stayed on the worker and
+/// matched a pooled solve of the same space bit for bit.
+[[noreturn]] void stencil_miss_with_four_threads(const verify::Scenario& sc) {
+  util::set_max_threads(4);
   ServeOptions opt;
   opt.workers = 1;
   Controller ctl(opt);
@@ -330,34 +431,53 @@ std::size_t process_threads() {
     std::fprintf(stderr, "miss failed: %s\n", r.error.c_str());
     std::_Exit(4);
   }
+  if (ctl.stats().csr_fallbacks != 0) {
+    std::fprintf(stderr, "miss was assembled, not run on the stencil\n");
+    std::_Exit(5);
+  }
   if (after_miss != before_miss) {
-    std::fprintf(stderr, "serve worker forked %zu threads\n",
+    std::fprintf(stderr, "serve worker started %zu threads\n",
                  after_miss - before_miss);
     std::_Exit(1);
   }
+
+  // Reference: the same solve on this thread, outside any InlineRegion,
+  // where the sweeps run on the pool.
+  const core::ReactionNetwork net = verify::build_network(sc);
+  const core::StateSpace space(net, sc.initial, sc.max_states);
+  const solver::StencilOperator op(net, sc.initial);
+  std::vector<real_t> reference(static_cast<std::size_t>(space.size()));
+  solver::fill_uniform(reference);
+  std::vector<real_t> x(static_cast<std::size_t>(op.nrows()));
+  op.scatter_from(space, reference, x);
+  (void)solver::jacobi_solve(op, op.space_inf_norm(space), x,
+                             jacobi_options(sc));
+  op.gather_to(space, x, reference);
+  if (process_threads() <= after_miss) {
+    std::fprintf(stderr, "the reference solve started no pool threads\n");
+    std::_Exit(3);
+  }
   if (!bitwise_equal(r.p, reference)) {
-    std::fprintf(stderr, "response differs from the reference\n");
+    std::fprintf(stderr, "response differs from the pooled solve\n");
     std::_Exit(2);
   }
   std::_Exit(0);
 }
 #endif
 
-TEST(ServeRegression, CsrMissUnderInlineRegionForksNoOpenMpTeam) {
-  // The OpenMP CSR loops honour util::InlineRegion: a serve worker runs its
-  // miss on its own thread even with OMP_NUM_THREADS=4, instead of forking
-  // a team per worker, and answers bit for bit what a team-parallel solve
-  // computes. Runs in a re-executed child so the environment takes effect.
-#if !defined(_OPENMP)
-  GTEST_SKIP() << "built without OpenMP";
+TEST(ServeRegression, StencilMissUnderInlineRegionStartsNoThread) {
+  // A serve worker runs its stencil miss on its own thread, whatever the
+  // pool's budget or OMP_NUM_THREADS say, and answers bit for bit what a
+  // pooled solve computes. Runs in a re-executed child so the environment
+  // takes effect and the pool starts out empty.
+#if !defined(CMESOLVE_THREADS_ENABLED)
+  GTEST_SKIP() << "built without the thread pool";
 #else
-  const char* outer_env = ::getenv("OMP_NUM_THREADS");
-  const std::string outer = outer_env ? outer_env : "";
-  ::setenv("OMP_NUM_THREADS", "4", 1);
+  const ScopedEnv omp("OMP_NUM_THREADS", "4");
   const std::string outer_style = ::testing::FLAGS_gtest_death_test_style;
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The CSR loops fork a team only from util::kParallelGrain rows up, so
-  // the reference needs that many states: two independent birth-death
+  // The sweeps split over the pool only from util::kParallelGrain rows up,
+  // so the reference needs that many states: two independent birth-death
   // species of 65 counts each give 4,225, and converge in 400 sweeps where
   // a 5,000-state chain takes 6,500.
   verify::Scenario sc = birth_death(3.0, 1.25);
@@ -371,14 +491,9 @@ TEST(ServeRegression, CsrMissUnderInlineRegionForksNoOpenMpTeam) {
   }
   sc.initial = {0, 0};
   static_assert(util::kParallelGrain <= 65u * 65u);
-  EXPECT_EXIT(csr_miss_with_four_omp_threads(sc),
+  EXPECT_EXIT(stencil_miss_with_four_threads(sc),
               ::testing::ExitedWithCode(0), "");
   ::testing::FLAGS_gtest_death_test_style = outer_style;
-  if (outer_env != nullptr) {
-    ::setenv("OMP_NUM_THREADS", outer.c_str(), 1);
-  } else {
-    ::unsetenv("OMP_NUM_THREADS");
-  }
 #endif
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/models.hpp"
@@ -414,6 +415,39 @@ TEST(MaskedStencil, MultiplyIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(y1[i], yt[i]) << "threads=" << t << " row " << i;
     }
   }
+}
+
+// --- norm over an enumerated space -----------------------------------------
+
+TEST(StencilOperator, SpaceInfNormIsTheNormOfTheAssembledSpace) {
+  // X is born and dies slowly; G only decays, fast. From G = 0 the G = 1
+  // half of the box is unreachable, yet its rows carry the fast rate on
+  // their diagonal and into the G = 0 rows they feed.
+  ReactionNetwork net;
+  const int x = net.add_species("X", 20);
+  const int g = net.add_species("G", 1);
+  net.add_reaction("birth", 2.0, {}, {{x, +1}});
+  net.add_reaction("death", 1.0, {{x, 1}}, {{x, -1}});
+  net.add_reaction("gate", 1e6, {{g, 1}}, {{g, -1}});
+  const State init = {0, 0};
+  const StateSpace space(net, init, 100000);
+  const sparse::Csr a = core::rate_matrix(space);
+  const StencilOperator op(net, init);
+  ASSERT_EQ(op.nrows(), 2 * space.size());
+  EXPECT_GT(op.inf_norm(), 1e6);
+  EXPECT_NEAR(op.space_inf_norm(space), a.inf_norm(), 1e-14 * a.inf_norm());
+}
+
+TEST(StencilOperator, SpaceInfNormRejectsAnAbsorbingState) {
+  // Pure death from X = 10: X = 0 is reachable and has no outflow, a zero
+  // diagonal in the assembled matrix, which the box masks as -1.
+  ReactionNetwork net;
+  const int x = net.add_species("X", 10);
+  net.add_reaction("death", 1.0, {{x, 1}}, {{x, -1}});
+  const State init = {10};
+  const StateSpace space(net, init, 100000);
+  const StencilOperator op(net, init);
+  EXPECT_THROW((void)op.space_inf_norm(space), std::domain_error);
 }
 
 // --- error handling ---------------------------------------------------------
